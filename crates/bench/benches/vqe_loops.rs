@@ -8,7 +8,10 @@ use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use eft_vqa::vqe::noisy_energy;
 use eft_vqa::ExecutionRegime;
 use eftq_circuit::ansatz::fully_connected_hea;
-use eftq_stabilizer::{GroupedObservable, NoiseProgram, NoiseTemplate, Tableau};
+use eftq_numerics::SeedSequence;
+use eftq_stabilizer::{
+    GroupedObservable, HeisenbergEvaluator, NoiseProgram, NoiseTemplate, Tableau,
+};
 
 fn bench_energy_evaluations(c: &mut Criterion) {
     let mut group = c.benchmark_group("vqe_energy");
@@ -51,10 +54,11 @@ fn bench_fitness_compilation(c: &mut Criterion) {
 
 /// The noiseless-expectation half of a Figure-12 fitness evaluation at
 /// the full 100-qubit scale: all 199 Ising terms via the compiled
-/// QWC-grouped kernel vs a naive per-term `Tableau::expectation` sweep.
-/// (On this Hamiltonian the grouped kernel's adaptive cutover takes the
-/// direct path — the bench records that the grouping never costs more
-/// than per-term.)
+/// QWC-grouped kernel vs a naive per-term `Tableau::expectation` sweep
+/// (both on a prebuilt tableau), and via the Heisenberg-picture
+/// evaluator the fitness uses, which includes its per-genome bind and
+/// needs no tableau at all. (On this Hamiltonian the grouped kernel's
+/// adaptive cutover takes the direct path.)
 fn bench_grouped_expectations(c: &mut Criterion) {
     let mut group = c.benchmark_group("grouped_e0");
     group.sample_size(20);
@@ -82,6 +86,51 @@ fn bench_grouped_expectations(c: &mut Criterion) {
             black_box(e)
         });
     });
+    let evaluator = HeisenbergEvaluator::compile(ansatz.circuit());
+    group.bench_function("heisenberg_ising_100q", |b| {
+        b.iter(|| {
+            evaluator.bind_clifford(&ks).expectations(&h, &mut e0);
+            black_box(&e0);
+        });
+    });
+    group.finish();
+}
+
+/// One whole Figure-12 GA fitness evaluation at 100 qubits (Ising,
+/// NISQ, 16 shots) and its phases other than the noiseless values
+/// (`grouped_e0/heisenberg_ising_100q`): the noise-program bind and the
+/// frame run. The frame accumulation is the remainder. The evaluator's
+/// compile runs once per search and is listed for scale.
+fn bench_fitness_phases(c: &mut Criterion) {
+    let mut group = c.benchmark_group("fitness_100q");
+    group.sample_size(20);
+    let n = 100;
+    let h = eft_vqa::hamiltonians::ising_1d(n, 1.0);
+    let ansatz = fully_connected_hea(n, 1);
+    let ks: Vec<u8> = (0..ansatz.num_params()).map(|i| (i % 4) as u8).collect();
+    let noise = ExecutionRegime::nisq_default().stabilizer_noise();
+    let template = NoiseTemplate::compile(ansatz.circuit(), &noise);
+    let seed = SeedSequence::new(7);
+    group.bench_function("heisenberg_compile", |b| {
+        b.iter(|| HeisenbergEvaluator::compile(ansatz.circuit()));
+    });
+    let evaluator = HeisenbergEvaluator::compile(ansatz.circuit());
+    group.bench_function("template_bind", |b| {
+        b.iter(|| template.bind_clifford(&ks));
+    });
+    let program = template.bind_clifford(&ks);
+    group.bench_function("frames_16shots", |b| {
+        b.iter(|| program.run_threaded(16, seed.derive("pauli-frames"), 1));
+    });
+    group.bench_function("fitness_nisq", |b| {
+        b.iter(|| {
+            let program = template.bind_clifford(&ks);
+            evaluator
+                .bind_clifford(&ks)
+                .estimate_energy(&h, &program, template.meas_flip(), 16, seed, 1)
+                .energy
+        });
+    });
     group.finish();
 }
 
@@ -89,6 +138,7 @@ criterion_group!(
     benches,
     bench_energy_evaluations,
     bench_fitness_compilation,
-    bench_grouped_expectations
+    bench_grouped_expectations,
+    bench_fitness_phases
 );
 criterion_main!(benches);

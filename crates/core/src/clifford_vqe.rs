@@ -14,8 +14,7 @@ use eftq_numerics::SeedSequence;
 use eftq_optim::genetic::{minimize_genetic, GeneticConfig};
 use eftq_pauli::PauliSum;
 use eftq_stabilizer::{
-    estimate_energy, estimate_energy_program_grouped, estimate_energy_threaded, GroupedObservable,
-    NoiseTemplate, StabilizerNoise,
+    estimate_energy, estimate_energy_threaded, HeisenbergEvaluator, NoiseTemplate, StabilizerNoise,
 };
 
 /// Configuration of a Clifford VQE run.
@@ -57,11 +56,12 @@ pub struct CliffordVqeOutcome {
 /// Runs the genetic Clifford VQE under a stabilizer noise model.
 ///
 /// The circuit + noise model compile *once* into a
-/// [`NoiseTemplate`] before the search starts: every genome shares the
-/// ansatz structure (layering, injection sites, probability classes), so
-/// the per-genome fitness only re-resolves quarter-turn parities — see
-/// [`clifford_vqe_with_template`] to share that compilation across
-/// several searches (e.g. a sweep's grid points).
+/// [`NoiseTemplate`] before the search starts, and the circuit alone
+/// into a [`HeisenbergEvaluator`]: every genome shares the ansatz
+/// structure (layering, injection sites, probability classes, the fixed
+/// entangler), so the per-genome fitness only re-resolves its quarter
+/// turns — see [`clifford_vqe_with_template`] to share the template
+/// across several searches (e.g. a sweep's grid points).
 ///
 /// # Panics
 ///
@@ -109,24 +109,24 @@ pub fn clifford_vqe_with_template(
         ..config.ga
     };
     let shots = config.shots.max(1);
-    // Compile the QWC grouping once: every fitness evaluation shares it
-    // (like the noise template), and the grouped kernel is bit-identical
-    // to the per-term `estimate_energy_program` path it replaces.
-    let grouped = GroupedObservable::compile(observable);
+    // Compile the genome-independent Clifford once per search (like the
+    // noise template): each fitness call only resolves its rotations, and
+    // the Heisenberg-picture values are bit-identical to walking the
+    // bound circuit through `estimate_energy_program`.
+    let evaluator = HeisenbergEvaluator::compile(ansatz.circuit());
     let result = minimize_genetic(ansatz.num_params(), &ga, |genome| {
-        let circuit = ansatz.bind_clifford(genome);
         let program = template.bind_clifford(genome);
-        estimate_energy_program_grouped(
-            &circuit,
-            observable,
-            &grouped,
-            &program,
-            template.meas_flip(),
-            shots,
-            shot_seed,
-            1,
-        )
-        .energy
+        evaluator
+            .bind_clifford(genome)
+            .estimate_energy(
+                observable,
+                &program,
+                template.meas_flip(),
+                shots,
+                shot_seed,
+                1,
+            )
+            .energy
     });
     CliffordVqeOutcome {
         best_energy: result.best_fitness,
@@ -330,6 +330,58 @@ mod tests {
             "{reeval} vs {}",
             out.best_energy
         );
+    }
+
+    /// The search with the Heisenberg-picture fitness reproduces the
+    /// search with the tableau fitness — energy, genome and history —
+    /// under noisy and noiseless templates, on one and two words.
+    #[test]
+    fn heisenberg_fitness_reproduces_tableau_fitness() {
+        use eftq_stabilizer::estimate_energy_program;
+        let config = CliffordVqeConfig {
+            ga: GeneticConfig {
+                population: 8,
+                generations: 4,
+                threads: 2,
+                ..GeneticConfig::default()
+            },
+            shots: 16,
+            seed: 41,
+        };
+        for (n, h) in [
+            (8, hamiltonians::heisenberg_1d(8, 0.5)),
+            (66, hamiltonians::ising_1d(66, 0.75)),
+        ] {
+            let ansatz = fully_connected_hea(n, 1);
+            for noise in [
+                ExecutionRegime::nisq_default().stabilizer_noise(),
+                StabilizerNoise::noiseless(),
+            ] {
+                let template = NoiseTemplate::compile(ansatz.circuit(), &noise);
+                let seeds = SeedSequence::new(config.seed);
+                let shot_seed = seeds.derive("shots");
+                let ga = GeneticConfig {
+                    seed: seeds.derive("ga").seed(),
+                    ..config.ga
+                };
+                let old = minimize_genetic(ansatz.num_params(), &ga, |g| {
+                    estimate_energy_program(
+                        &ansatz.bind_clifford(g),
+                        &h,
+                        &template.bind_clifford(g),
+                        template.meas_flip(),
+                        config.shots,
+                        shot_seed,
+                        1,
+                    )
+                    .energy
+                });
+                let new = clifford_vqe_with_template(&ansatz, &h, &template, &config);
+                assert_eq!(new.best_energy, old.best_fitness, "{n} qubits");
+                assert_eq!(new.best_genome, old.best_genome, "{n} qubits");
+                assert_eq!(new.history, old.history, "{n} qubits");
+            }
+        }
     }
 
     #[test]

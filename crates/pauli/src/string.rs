@@ -171,9 +171,24 @@ impl PauliString {
         self.weight() == 0
     }
 
-    /// Iterator over the qubits carrying a non-identity letter.
+    /// Iterator over the qubits carrying a non-identity letter, ascending.
+    /// Walks the set bits of the `x | z` words, so a weight-`w` string
+    /// costs `O(n/64 + w)`.
     pub fn support(&self) -> impl Iterator<Item = usize> + '_ {
-        (0..self.n).filter(move |&q| self.pauli_at(q) != Pauli::I)
+        self.x
+            .iter()
+            .zip(&self.z)
+            .enumerate()
+            .flat_map(|(w, (&x, &z))| {
+                let mut bits = x | z;
+                std::iter::from_fn(move || {
+                    (bits != 0).then(|| {
+                        let b = bits.trailing_zeros() as usize;
+                        bits &= bits - 1;
+                        w * WORD_BITS + b
+                    })
+                })
+            })
     }
 
     /// Whether this string commutes with `other`.
@@ -502,6 +517,21 @@ mod tests {
         assert_eq!(p.pauli_at(3), Pauli::Y);
         assert_eq!(p.support().collect::<Vec<_>>(), vec![3]);
         assert_eq!(p.y_count(), 1);
+    }
+
+    #[test]
+    fn support_spans_words_in_ascending_order() {
+        let mut p = PauliString::identity(130);
+        for (q, l) in [
+            (129, Pauli::Z),
+            (0, Pauli::X),
+            (64, Pauli::Y),
+            (63, Pauli::Z),
+        ] {
+            p.set_pauli(q, l);
+        }
+        assert_eq!(p.support().collect::<Vec<_>>(), vec![0, 63, 64, 129]);
+        assert_eq!(PauliString::identity(70).support().count(), 0);
     }
 
     #[test]

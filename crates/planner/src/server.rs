@@ -5,9 +5,10 @@
 //! 1. **Accept.** A non-blocking acceptor stamps each connection with
 //!    its arrival instant and `try_send`s it to the parse stage over a
 //!    bounded channel. A full channel means the parse stage is
-//!    saturated: the acceptor writes an immediate 429 shed response and
-//!    closes — the one state this server never enters is "accepted but
-//!    silent".
+//!    saturated: the acceptor reads the request for at most 25 ms,
+//!    answers `/healthz`, `/readyz` and `/metrics` itself, and sheds
+//!    everything else with an immediate 429 counted under its route —
+//!    the one state this server never enters is "accepted but silent".
 //! 2. **Parse + route.** Parse threads read the request behind a socket
 //!    read timeout. `/healthz`, `/readyz`, `/surfaces` and `/metrics`
 //!    (Prometheus text format) are answered inline — observability
@@ -246,6 +247,38 @@ fn route_label(path: &str) -> &'static str {
 impl Engine {
     fn draining(&self) -> bool {
         self.drain.load(Ordering::SeqCst) || sigterm_drain_requested()
+    }
+
+    /// Answers one of the inline routes (`/healthz`, `/readyz`,
+    /// `/surfaces`, `/metrics`) without admission.
+    fn answer_inline(&self, route: &str, stream: &mut TcpStream, arrival: Instant) {
+        self.stats.inline.fetch_add(1, Ordering::Relaxed);
+        let (status, body) = match route {
+            "/healthz" => (200, jsonl(&self.health_row())),
+            "/readyz" if self.draining() => error_response(503, "draining", "server is draining"),
+            "/readyz" if self.index.is_empty() => {
+                error_response(503, "not_ready", "surface index is empty")
+            }
+            "/readyz" => (200, jsonl(&Row::new(HEALTH_LABEL).str("status", "ready"))),
+            "/surfaces" => (
+                200,
+                self.index
+                    .names()
+                    .map(|n| jsonl(&Row::new("planner_surface").str("surface", n)))
+                    .collect(),
+            ),
+            "/metrics" => {
+                // Count the scrape before rendering, so the body a
+                // scraper receives already includes its own request.
+                self.observe(route, 200, arrival);
+                let body = self.metrics_body();
+                let _ = write_response_with_type(stream, 200, METRICS_CONTENT_TYPE, &body);
+                return;
+            }
+            other => unreachable!("{other} is not an inline route"),
+        };
+        self.observe(route, status, arrival);
+        let _ = write_response(stream, status, &body);
     }
 
     /// Records one finished response: the per-route/status request
@@ -596,19 +629,26 @@ pub fn serve(index: SurfaceIndex, cfg: ServerConfig) -> Result<ServerHandle, Str
                         if let Err(mpsc::TrySendError::Full((mut stream, _))) =
                             conn_tx.try_send((stream, arrival))
                         {
-                            // Parse stage saturated: immediate shed.
-                            // Drain the (unread) request first — closing
-                            // a socket with unread bytes RSTs and the
-                            // peer would lose the 429 body.
-                            engine.stats.shed.fetch_add(1, Ordering::Relaxed);
-                            let _ = stream.set_nonblocking(false);
-                            let _ = stream.set_read_timeout(Some(Duration::from_millis(25)));
-                            let mut sink = [0u8; 1024];
-                            use std::io::Read;
-                            let _ = stream.read(&mut sink);
-                            let (status, body) = error_response(429, "shed", "accept queue full");
-                            engine.observe("-", status, arrival);
-                            let _ = write_response(&mut stream, status, &body);
+                            // Parse stage saturated. Drain the (unread)
+                            // request first — closing a socket with
+                            // unread bytes RSTs and the peer would lose
+                            // the response. Its bytes name the route:
+                            // health, readiness and metrics are answered
+                            // here, the rest shed with 429 under their
+                            // route.
+                            let route = read_request(&mut &read_head(&mut stream)[..])
+                                .ok()
+                                .flatten()
+                                .map_or("-", |r| route_label(&r.path));
+                            if let "/healthz" | "/readyz" | "/metrics" = route {
+                                engine.answer_inline(route, &mut stream, arrival);
+                            } else {
+                                engine.stats.shed.fetch_add(1, Ordering::Relaxed);
+                                let (status, body) =
+                                    error_response(429, "shed", "accept queue full");
+                                engine.observe(route, status, arrival);
+                                let _ = write_response(&mut stream, status, &body);
+                            }
                         }
                     }
                     Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
@@ -652,44 +692,12 @@ pub fn serve(index: SurfaceIndex, cfg: ServerConfig) -> Result<ServerHandle, Str
                 }
             };
             let route = route_label(&request.path);
-            match request.path.as_str() {
+            match route {
                 // Health and metrics endpoints bypass admission
                 // entirely: observability must answer while the
                 // evaluation stage is saturated.
-                "/healthz" => {
-                    engine.stats.inline.fetch_add(1, Ordering::Relaxed);
-                    engine.observe(route, 200, arrival);
-                    let _ = write_response(&mut stream, 200, &jsonl(&engine.health_row()));
-                }
-                "/readyz" => {
-                    engine.stats.inline.fetch_add(1, Ordering::Relaxed);
-                    let (status, body) = if engine.draining() {
-                        error_response(503, "draining", "server is draining")
-                    } else if engine.index.is_empty() {
-                        error_response(503, "not_ready", "surface index is empty")
-                    } else {
-                        (200, jsonl(&Row::new(HEALTH_LABEL).str("status", "ready")))
-                    };
-                    engine.observe(route, status, arrival);
-                    let _ = write_response(&mut stream, status, &body);
-                }
-                "/surfaces" => {
-                    engine.stats.inline.fetch_add(1, Ordering::Relaxed);
-                    engine.observe(route, 200, arrival);
-                    let body: String = engine
-                        .index
-                        .names()
-                        .map(|n| jsonl(&Row::new("planner_surface").str("surface", n)))
-                        .collect();
-                    let _ = write_response(&mut stream, 200, &body);
-                }
-                "/metrics" => {
-                    engine.stats.inline.fetch_add(1, Ordering::Relaxed);
-                    // Count the scrape before rendering, so the body a
-                    // scraper receives already includes its own request.
-                    engine.observe(route, 200, arrival);
-                    let body = engine.metrics_body();
-                    let _ = write_response_with_type(&mut stream, 200, METRICS_CONTENT_TYPE, &body);
+                "/healthz" | "/readyz" | "/surfaces" | "/metrics" => {
+                    engine.answer_inline(route, &mut stream, arrival);
                 }
                 _ => {
                     let job = Job {
@@ -764,6 +772,27 @@ pub fn serve(index: SurfaceIndex, cfg: ServerConfig) -> Result<ServerHandle, Str
         stats,
         threads,
     })
+}
+
+/// Reads what a shed connection has sent within 25 ms of the shed
+/// decision: up to the end of its headers, or 1 KiB.
+fn read_head(stream: &mut TcpStream) -> Vec<u8> {
+    use std::io::Read;
+    let deadline = Instant::now() + Duration::from_millis(25);
+    let _ = stream.set_nonblocking(false);
+    let mut head = Vec::new();
+    let mut buf = [0u8; 1024];
+    while head.len() < buf.len() && !head.windows(4).any(|w| w == b"\r\n\r\n") {
+        let left = deadline.saturating_duration_since(Instant::now());
+        if left.is_zero() || stream.set_read_timeout(Some(left)).is_err() {
+            break;
+        }
+        match stream.read(&mut buf[..1024 - head.len()]) {
+            Ok(0) | Err(_) => break,
+            Ok(k) => head.extend_from_slice(&buf[..k]),
+        }
+    }
+    head
 }
 
 /// Serializes a row as one JSONL line.

@@ -500,7 +500,7 @@ impl PauliFrames {
 
     /// [`PauliFrames::flip_plane`] into a caller-owned buffer (cleared
     /// first), so per-term loops over large observables reuse one
-    /// allocation.
+    /// allocation. Only `p`'s support columns are read.
     ///
     /// # Panics
     ///
@@ -510,7 +510,7 @@ impl PauliFrames {
         assert!(acc.len() >= self.words, "flip-plane buffer too short");
         let wl = self.words;
         acc.fill(0);
-        for q in 0..self.n {
+        for q in p.support() {
             let letter = p.pauli_at(q);
             if letter.z_bit() {
                 for (a, &x) in acc.iter_mut().zip(&self.fx[q * wl..(q + 1) * wl]) {

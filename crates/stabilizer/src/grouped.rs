@@ -2,11 +2,9 @@
 //! qubit-wise-commuting (QWC) group in one tableau pass.
 //!
 //! [`Tableau::expectation`] costs `O(n·rwords)` word operations *per
-//! term* — for a 100-qubit Hamiltonian with hundreds of terms that walk
-//! dominates every energy evaluation inside the genetic search. Terms
-//! that commute qubit-wise share a measurement basis, so one basis
-//! rotation plus one computational-basis collapse determines all of them
-//! at once:
+//! term*. Terms that commute qubit-wise share a measurement basis, so
+//! one basis rotation plus one computational-basis collapse determines
+//! all of them at once:
 //!
 //! 1. **Compile** (once per Hamiltonian): partition the terms with
 //!    [`eftq_pauli::group_qubit_wise_commuting`] and record, per group,
@@ -26,9 +24,7 @@
 //!    the indeterminate measurements take.
 //!
 //! The result is **bit-identical** to calling [`Tableau::expectation`]
-//! per term (each value is exactly ±1.0 or 0.0), which is what lets
-//! [`estimate_energy_program_grouped`] slot into the genetic-search hot
-//! path without perturbing any recorded baseline.
+//! per term (each value is exactly ±1.0 or 0.0).
 //!
 //! The collapse only *pays* when a group holds more terms than union
 //! qubits: one collapse costs a `measure` per union qubit, and `measure`
@@ -133,10 +129,8 @@ struct CompiledGroup {
 /// evaluated group-at-a-time instead of term-at-a-time.
 ///
 /// Compile once per observable (the partition and coefficient tables
-/// are state-independent) and reuse across every candidate state — the
-/// genetic search compiles alongside its [`crate::NoiseTemplate`] so
-/// all fitness evaluations share both caches. See the [module
-/// docs](self) for the algorithm and a worked example.
+/// are state-independent) and reuse across every candidate state. See
+/// the [module docs](self) for the algorithm and a worked example.
 #[derive(Clone, Debug)]
 pub struct GroupedObservable {
     n: usize,
@@ -315,109 +309,6 @@ impl GroupedObservable {
             .zip(&e0)
             .map(|(&c, &e)| c * e)
             .sum()
-    }
-}
-
-/// [`crate::estimate_energy_program`] with the noiseless expectations
-/// supplied by a precompiled [`GroupedObservable`] — the genetic-search
-/// hot path, where both the noise program *and* the grouping are
-/// compiled once and shared by every fitness evaluation.
-///
-/// Bit-identical to [`crate::estimate_energy_program`]: the grouped
-/// kernel reproduces [`Tableau::expectation`] exactly and the damping /
-/// frame-flip accumulation below keeps the same floating-point order.
-///
-/// # Panics
-///
-/// Panics if `shots == 0` or the circuit/observable/grouping/program
-/// sizes mismatch.
-#[allow(clippy::too_many_arguments)]
-pub fn estimate_energy_program_grouped(
-    circuit: &Circuit,
-    observable: &PauliSum,
-    grouped: &GroupedObservable,
-    program: &NoiseProgram,
-    meas_flip: f64,
-    shots: usize,
-    seed: SeedSequence,
-    threads: usize,
-) -> NoisyCliffordRun {
-    assert!(shots > 0, "at least one shot required");
-    assert_eq!(
-        circuit.num_qubits(),
-        observable.num_qubits(),
-        "circuit/observable size mismatch"
-    );
-    assert_eq!(
-        circuit.num_qubits(),
-        grouped.num_qubits(),
-        "circuit/grouping size mismatch"
-    );
-    assert_eq!(
-        observable.num_terms(),
-        grouped.num_terms(),
-        "observable/grouping term-count mismatch"
-    );
-    assert_eq!(
-        circuit.num_qubits(),
-        program.num_qubits(),
-        "circuit/program size mismatch"
-    );
-    let mut ideal = Tableau::new(circuit.num_qubits());
-    ideal.run(circuit);
-    let mut e0s = vec![0.0; grouped.num_terms()];
-    grouped.expectations(&ideal, &mut e0s);
-    if program.num_sites() == 0 {
-        // Noiseless fast path, same floating-point order as
-        // `estimate_energy_program`.
-        let mut e = 0.0f64;
-        for (term, &e0) in observable.terms().iter().zip(&e0s) {
-            if e0 == 0.0 {
-                continue;
-            }
-            let damp = (1.0 - 2.0 * meas_flip).powi(term.string.weight() as i32);
-            let v = term.coefficient * damp * e0;
-            if v == 0.0 {
-                continue;
-            }
-            e += v;
-        }
-        let energies = vec![e; shots];
-        return NoisyCliffordRun {
-            energy: eftq_numerics::stats::mean(&energies),
-            std_error: eftq_numerics::stats::standard_error(&energies),
-            shots,
-        };
-    }
-    let frames = program.run_threaded(shots, seed.derive("pauli-frames"), threads);
-    let mut energies = vec![0.0f64; shots];
-    let mut plane = vec![0u64; shots.div_ceil(64)];
-    for (term, &e0) in observable.terms().iter().zip(&e0s) {
-        if e0 == 0.0 {
-            continue;
-        }
-        let damp = (1.0 - 2.0 * meas_flip).powi(term.string.weight() as i32);
-        let v = term.coefficient * damp * e0;
-        if v == 0.0 {
-            continue;
-        }
-        for e in energies.iter_mut() {
-            *e += v;
-        }
-        frames.flip_plane_into(&term.string, &mut plane);
-        for (w, &word) in plane.iter().enumerate() {
-            let mut bits = word;
-            while bits != 0 {
-                let s = w * 64 + bits.trailing_zeros() as usize;
-                energies[s] -= 2.0 * v;
-                bits &= bits - 1;
-            }
-        }
-    }
-    NoisyCliffordRun {
-        energy: eftq_numerics::stats::mean(&energies),
-        std_error: eftq_numerics::stats::standard_error(&energies),
-        shots,
     }
 }
 

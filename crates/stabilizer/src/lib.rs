@@ -32,6 +32,14 @@
 //!   tableau run + XOR frames) and
 //!   [`noise::estimate_energy_tableau`] (per-shot reference path the
 //!   equivalence property tests check against).
+//! * [`heisenberg`] — the genetic search's noiseless values:
+//!   [`HeisenbergEvaluator`] compiles a symbolic ansatz's fixed gates
+//!   into Heisenberg-picture conjugation rows once, so a genome costs
+//!   `O(n)` to bind and a term `O(weight · n/64)` to evaluate, with no
+//!   circuit and no tableau walk.
+//!   [`BoundEvaluator::estimate_energy`] feeds those values through the
+//!   same frame accumulation as [`estimate_energy_program`], bit for
+//!   bit.
 //!
 //! # Examples
 //!
@@ -53,12 +61,14 @@
 
 pub mod frame;
 pub mod grouped;
+pub mod heisenberg;
 pub mod noise;
 pub mod program;
 pub mod tableau;
 
 pub use frame::{run_noisy_frames, run_noisy_frames_percall, PauliFrames};
-pub use grouped::{estimate_energy_program_grouped, sample_energy_grouped, GroupedObservable};
+pub use grouped::{sample_energy_grouped, GroupedObservable};
+pub use heisenberg::{BoundEvaluator, HeisenbergEvaluator};
 pub use noise::{
     estimate_energy, estimate_energy_program, estimate_energy_tableau, estimate_energy_threaded,
     NoisyCliffordRun, StabilizerNoise,

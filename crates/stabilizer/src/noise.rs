@@ -357,23 +357,53 @@ pub fn estimate_energy_program(
     );
     let mut ideal = Tableau::new(circuit.num_qubits());
     ideal.run(circuit);
+    let e0s: Vec<f64> = observable
+        .terms()
+        .iter()
+        .map(|t| ideal.expectation(&t.string))
+        .collect();
+    accumulate_energy(observable, &e0s, program, meas_flip, shots, seed, threads)
+}
+
+/// The shot energies of every compiled estimator: each term's noiseless
+/// value `e0s[k]`, damped by readout, sign-flipped per shot where
+/// `program`'s Pauli frame anticommutes with the term. Shared by
+/// [`estimate_energy_program`] and
+/// [`crate::BoundEvaluator::estimate_energy`], so both accumulate in the
+/// same floating-point order.
+pub(crate) fn accumulate_energy(
+    observable: &PauliSum,
+    e0s: &[f64],
+    program: &crate::program::NoiseProgram,
+    meas_flip: f64,
+    shots: usize,
+    seed: SeedSequence,
+    threads: usize,
+) -> NoisyCliffordRun {
+    assert!(shots > 0, "at least one shot required");
+    assert_eq!(
+        observable.num_qubits(),
+        program.num_qubits(),
+        "observable/program size mismatch"
+    );
+    let damped = |term: &eftq_pauli::PauliTerm, e0: f64| {
+        if e0 == 0.0 {
+            return None;
+        }
+        let damp = (1.0 - 2.0 * meas_flip).powi(term.string.weight() as i32);
+        let v = term.coefficient * damp * e0;
+        (v != 0.0).then_some(v)
+    };
     if program.num_sites() == 0 {
         // Noiseless fast path: every frame is identity, so all shots see
         // the same deterministic energy (accumulated with the same
         // floating-point order as the general path, so results agree
         // bit-for-bit).
         let mut e = 0.0f64;
-        for term in observable.terms() {
-            let e0 = ideal.expectation(&term.string);
-            if e0 == 0.0 {
-                continue;
+        for (term, &e0) in observable.terms().iter().zip(e0s) {
+            if let Some(v) = damped(term, e0) {
+                e += v;
             }
-            let damp = (1.0 - 2.0 * meas_flip).powi(term.string.weight() as i32);
-            let v = term.coefficient * damp * e0;
-            if v == 0.0 {
-                continue;
-            }
-            e += v;
         }
         let energies = vec![e; shots];
         return NoisyCliffordRun {
@@ -385,16 +415,10 @@ pub fn estimate_energy_program(
     let frames = program.run_threaded(shots, seed.derive("pauli-frames"), threads);
     let mut energies = vec![0.0f64; shots];
     let mut plane = vec![0u64; shots.div_ceil(64)];
-    for term in observable.terms() {
-        let e0 = ideal.expectation(&term.string);
-        if e0 == 0.0 {
+    for (term, &e0) in observable.terms().iter().zip(e0s) {
+        let Some(v) = damped(term, e0) else {
             continue;
-        }
-        let damp = (1.0 - 2.0 * meas_flip).powi(term.string.weight() as i32);
-        let v = term.coefficient * damp * e0;
-        if v == 0.0 {
-            continue;
-        }
+        };
         for e in energies.iter_mut() {
             *e += v;
         }

@@ -334,7 +334,7 @@ impl Tableau {
     /// Word-parallel over all `2n` rows: `O(weight(p) · 2n/64)`.
     fn anticommute_plane(&self, p: &PauliString) -> Vec<u64> {
         let mut acc = vec![0u64; self.rwords];
-        for q in 0..self.n {
+        for q in p.support() {
             let letter = p.pauli_at(q);
             if letter.z_bit() {
                 let col = self.xcol(q);

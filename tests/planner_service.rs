@@ -282,6 +282,68 @@ fn overload_sheds_with_clean_429s_and_health_stays_live() {
     handle.drain();
 }
 
+/// With the single parser held by a silent connection and the accept
+/// queue behind it full, the acceptor itself answers `/healthz`,
+/// `/readyz` and `/metrics`, and sheds everything else under its route.
+/// The queue is proven full before the probes: a further silent
+/// connection has come back shed.
+#[test]
+fn health_answers_while_the_accept_queue_is_full() {
+    let cfg = ServerConfig {
+        // The parser's read timeout: it stays held for the whole test.
+        deadline: Duration::from_secs(30),
+        queue: 2,
+        workers: 1,
+        parsers: 1,
+        ..ServerConfig::default()
+    };
+    let handle = serve(advisor_index(), cfg).unwrap();
+    let addr = handle.addr();
+    let mut silent = Vec::new();
+    let shed = loop {
+        assert!(silent.len() < 32, "the accept queue never filled");
+        let mut stream = TcpStream::connect_timeout(&addr, Duration::from_secs(10)).unwrap();
+        stream
+            .set_read_timeout(Some(Duration::from_millis(200)))
+            .unwrap();
+        let mut reply = String::new();
+        match stream.read_to_string(&mut reply) {
+            Ok(_) if !reply.is_empty() => break reply,
+            // Still waiting: held by the parser or queued behind it.
+            _ => silent.push(stream),
+        }
+    };
+    assert!(shed.starts_with("HTTP/1.1 429"), "{shed}");
+
+    let (status, body) = raw_get(addr, "/healthz").unwrap();
+    assert_eq!(status, 200, "healthz with a full accept queue: {body}");
+    assert_eq!(
+        parse_row(body.trim()).unwrap().get_str("status"),
+        Some("live")
+    );
+    let (status, body) = raw_get(addr, "/readyz").unwrap();
+    assert_eq!(status, 200, "readyz with a full accept queue: {body}");
+    let (status, body) = raw_get(addr, "/plan?logical_qubits=16&device_qubits=20000").unwrap();
+    assert_eq!(status, 429, "{body}");
+    assert_clean(status, &body, "shed plan");
+    let (status, metrics) = raw_get(addr, "/metrics").unwrap();
+    assert_eq!(status, 200, "metrics with a full accept queue: {metrics}");
+    let series = parse_metrics(&metrics, "full accept queue");
+    assert_eq!(
+        series.get(r#"planner_requests_total{route="/plan",status="429"}"#),
+        Some(&1.0),
+        "a shed plan counts under its route:\n{metrics}"
+    );
+    assert_eq!(
+        series.get(r#"planner_requests_total{route="/healthz",status="200"}"#),
+        Some(&1.0)
+    );
+
+    // Closing the silent connections frees the parser for the drain.
+    drop(silent);
+    handle.drain();
+}
+
 /// Parses a Prometheus text exposition body into `series → value`,
 /// panicking on any line that is not a `#` comment or a well-formed
 /// `name value` sample. (`/metrics` bodies are text, not JSONL, so
