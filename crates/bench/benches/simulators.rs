@@ -6,9 +6,9 @@ use eftq_circuit::ansatz::fully_connected_hea;
 use eftq_circuit::Circuit;
 use eftq_numerics::{BernoulliWords, SeedSequence};
 use eftq_pauli::PauliSum;
+use eftq_stabilizer::reference::{estimate_energy_tableau, run_noisy_frames_percall};
 use eftq_stabilizer::{
-    estimate_energy, estimate_energy_tableau, estimate_energy_threaded, run_noisy_frames,
-    run_noisy_frames_percall, NoiseProgram, Tableau,
+    estimate_energy, estimate_energy_threaded, run_noisy_frames, NoiseProgram, Tableau,
 };
 use eftq_statesim::noise::run_noisy;
 use eftq_statesim::{DensityMatrix, StateVector};

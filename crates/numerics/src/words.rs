@@ -1,61 +1,18 @@
-//! Lane-chunked `u64` word kernels shared by the bit-plane simulators.
+//! `u64` word kernels shared by the bit-plane simulators.
 //!
 //! The stabilizer tableau and the Pauli-frame engine spend their inner
 //! loops XOR-ing and swapping short `u64` slices (bit-columns of a
 //! tableau, shot lanes of a frame batch). These helpers centralize those
-//! loops so a single compilation switch widens them: with the
-//! `wide-words` cargo feature enabled the kernels walk the slices in
-//! [`LANES`]`= 4` word chunks (256 bits), a shape LLVM reliably
-//! auto-vectorizes into AVX2/NEON lane operations; without the feature
-//! they degrade to plain word-at-a-time loops.
+//! loops as plain word-at-a-time elementwise passes.
 //!
-//! The chunking is *purely* a traversal change — every kernel performs
-//! the same elementwise XOR/copy/swap regardless of lane width, so
-//! results are bit-identical with the feature on or off (the
-//! `wide-words` golden-hash suite in the stabilizer crate pins this).
 //! RNG-driven loops must **not** move here: draw order is part of the
 //! reproducibility contract, and these kernels never touch an RNG.
-
-// `n % LANES` is trivially 0 when the feature is off (LANES = 1); the
-// expression must stay written against the constant so the same source
-// compiles at both widths.
-#![allow(clippy::modulo_one)]
-
-/// Words processed per chunk: 4 (256-bit lanes) under `wide-words`,
-/// 1 otherwise.
-pub const LANES: usize = if cfg!(feature = "wide-words") { 4 } else { 1 };
 
 /// `dst[i] ^= src[i]` over the common prefix of the two slices.
 #[inline]
 pub fn xor_into(dst: &mut [u64], src: &[u64]) {
-    let n = dst.len().min(src.len());
-    let (dc, dr) = dst[..n].split_at_mut(n - n % LANES);
-    let (sc, sr) = src[..n].split_at(n - n % LANES);
-    for (d4, s4) in dc.chunks_exact_mut(LANES).zip(sc.chunks_exact(LANES)) {
-        for (d, &s) in d4.iter_mut().zip(s4) {
-            *d ^= s;
-        }
-    }
-    for (d, &s) in dr.iter_mut().zip(sr) {
+    for (d, &s) in dst.iter_mut().zip(src) {
         *d ^= s;
-    }
-}
-
-/// `dst[i] ^= a[i] & b[i]` over the common prefix of the three slices —
-/// the sign-update shape of the tableau's S/CZ kernels.
-#[inline]
-pub fn xor_and_into(dst: &mut [u64], a: &[u64], b: &[u64]) {
-    let n = dst.len().min(a.len()).min(b.len());
-    let (dc, dr) = dst[..n].split_at_mut(n - n % LANES);
-    for (i, d4) in dc.chunks_exact_mut(LANES).enumerate() {
-        let base = i * LANES;
-        for (j, d) in d4.iter_mut().enumerate() {
-            *d ^= a[base + j] & b[base + j];
-        }
-    }
-    let base = n - n % LANES;
-    for (j, d) in dr.iter_mut().enumerate() {
-        *d ^= a[base + j] & b[base + j];
     }
 }
 
@@ -134,13 +91,9 @@ pub fn cz(xa: &[u64], xb: &[u64], za: &mut [u64], zb: &mut [u64], sgn: &mut [u64
 /// Exchanges the contents of two equal-length slices.
 #[inline]
 pub fn swap(a: &mut [u64], b: &mut [u64]) {
-    let n = a.len().min(b.len());
-    let (ac, ar) = a[..n].split_at_mut(n - n % LANES);
-    let (bc, br) = b[..n].split_at_mut(n - n % LANES);
-    for (a4, b4) in ac.chunks_exact_mut(LANES).zip(bc.chunks_exact_mut(LANES)) {
-        a4.swap_with_slice(b4);
+    for (x, y) in a.iter_mut().zip(b) {
+        std::mem::swap(x, y);
     }
-    ar.swap_with_slice(br);
 }
 
 #[cfg(test)]
@@ -154,22 +107,6 @@ mod tests {
             let src: Vec<u64> = (0..len as u64).map(|i| i.wrapping_mul(0x51_7cc1)).collect();
             let want: Vec<u64> = dst.iter().zip(&src).map(|(&d, &s)| d ^ s).collect();
             xor_into(&mut dst, &src);
-            assert_eq!(dst, want, "len {len}");
-        }
-    }
-
-    #[test]
-    fn xor_and_into_matches_scalar_loop() {
-        for len in [0usize, 1, 4, 6, 9] {
-            let mut dst = vec![0xAAAA_5555u64; len];
-            let a: Vec<u64> = (0..len as u64).map(|i| i | (i << 17)).collect();
-            let b: Vec<u64> = (0..len as u64).map(|i| !i ^ (i << 3)).collect();
-            let want: Vec<u64> = dst
-                .iter()
-                .zip(a.iter().zip(&b))
-                .map(|(&d, (&x, &y))| d ^ (x & y))
-                .collect();
-            xor_and_into(&mut dst, &a, &b);
             assert_eq!(dst, want, "len {len}");
         }
     }

@@ -5,10 +5,15 @@
 //! GET targets with query strings, JSONL response bodies. Keeping the
 //! parser ~100 lines means the robustness story lives in the server's
 //! admission control, not in a protocol stack; anything outside this
-//! subset gets a structured 400, never a hang (reads sit behind the
-//! caller's socket timeout).
+//! subset gets a structured 400, never a hang. [`read_request`] reads at
+//! most [`MAX_HEAD_BYTES`]; how long it may take is the caller's reader's
+//! business (the server reads through a per-request deadline).
 
-use std::io::{BufRead, Write};
+use std::io::{BufRead, Read, Take, Write};
+
+/// The most bytes [`read_request`] reads for a request line plus its
+/// headers. A head the cap cuts off is malformed.
+pub const MAX_HEAD_BYTES: usize = 8 * 1024;
 
 /// A parsed request line + headers (bodies are not consumed: every
 /// planner endpoint is a GET).
@@ -33,19 +38,18 @@ impl Request {
 }
 
 /// Reads and parses one request from `reader` (request line + headers;
-/// stops at the blank line).
+/// stops at the blank line), consuming at most [`MAX_HEAD_BYTES`].
 ///
 /// # Errors
 ///
 /// `Ok(None)` for a cleanly closed idle connection; `Err` with a
 /// human-readable reason for anything malformed (the caller answers
-/// 400) or an IO/timeout failure.
+/// 400), a head over [`MAX_HEAD_BYTES`], or an IO/timeout failure.
 pub fn read_request<R: BufRead>(reader: &mut R) -> Result<Option<Request>, String> {
+    let mut head = reader.take(MAX_HEAD_BYTES as u64);
     let mut line = String::new();
-    match reader.read_line(&mut line) {
-        Ok(0) => return Ok(None),
-        Ok(_) => {}
-        Err(e) => return Err(format!("read failed: {e}")),
+    if read_head_line(&mut head, &mut line).map_err(|e| format!("read failed: {e}"))? == 0 {
+        return Ok(None);
     }
     let line = line.trim_end();
     let mut parts = line.split_whitespace();
@@ -60,9 +64,11 @@ pub fn read_request<R: BufRead>(reader: &mut R) -> Result<Option<Request>, Strin
     // malicious peer cannot stream headers forever.
     for _ in 0..64 {
         let mut header = String::new();
-        match reader.read_line(&mut header) {
-            Ok(0) => return Err("connection closed mid-headers".into()),
-            Ok(_) if header.trim_end().is_empty() => {
+        match read_head_line(&mut head, &mut header)
+            .map_err(|e| format!("read failed mid-headers: {e}"))?
+        {
+            0 => return Err("connection closed mid-headers".into()),
+            _ if header.trim_end().is_empty() => {
                 let (path, query) = split_target(target);
                 return Ok(Some(Request {
                     method: method.to_string(),
@@ -70,11 +76,23 @@ pub fn read_request<R: BufRead>(reader: &mut R) -> Result<Option<Request>, Strin
                     query,
                 }));
             }
-            Ok(_) => {}
-            Err(e) => return Err(format!("read failed mid-headers: {e}")),
+            _ => {}
         }
     }
     Err("too many headers".into())
+}
+
+/// Reads one line of a request head. A line that [`MAX_HEAD_BYTES`] cuts
+/// off is an error, not a short line.
+fn read_head_line<R: BufRead>(head: &mut Take<R>, line: &mut String) -> std::io::Result<usize> {
+    let k = head.read_line(line)?;
+    if head.limit() == 0 && !line.ends_with('\n') {
+        return Err(std::io::Error::new(
+            std::io::ErrorKind::InvalidData,
+            format!("request head exceeds {MAX_HEAD_BYTES} bytes"),
+        ));
+    }
+    Ok(k)
 }
 
 /// Splits a request target into path and decoded query pairs.
@@ -211,6 +229,46 @@ mod tests {
         assert!(parse("not http\r\n\r\n").is_err());
         assert!(parse("GET /x SPDY/9\r\n\r\n").is_err());
         assert!(parse("GET /x HTTP/1.1\r\nunterminated").is_err());
+    }
+
+    /// Parses `raw` from a cursor and reports how far the parser read.
+    fn parse_cursor(raw: &str) -> (Result<Option<Request>, String>, u64) {
+        let mut cursor = std::io::Cursor::new(raw.as_bytes());
+        let parsed = read_request(&mut cursor);
+        (parsed, cursor.position())
+    }
+
+    #[test]
+    fn over_long_request_line_is_cut_at_the_cap() {
+        let raw = format!("GET /{} HTTP/1.1\r\n\r\n", "a".repeat(4 * MAX_HEAD_BYTES));
+        let (parsed, consumed) = parse_cursor(&raw);
+        let err = parsed.unwrap_err();
+        assert!(err.contains("exceeds"), "{err}");
+        assert!(consumed <= MAX_HEAD_BYTES as u64, "read {consumed} bytes");
+    }
+
+    #[test]
+    fn over_long_header_is_cut_at_the_cap() {
+        let raw = format!(
+            "GET /healthz HTTP/1.1\r\nX-Pad: {}\r\n\r\n",
+            "b".repeat(4 * MAX_HEAD_BYTES)
+        );
+        let (parsed, consumed) = parse_cursor(&raw);
+        let err = parsed.unwrap_err();
+        assert!(err.contains("exceeds"), "{err}");
+        assert!(consumed <= MAX_HEAD_BYTES as u64, "read {consumed} bytes");
+    }
+
+    #[test]
+    fn head_just_under_the_cap_parses() {
+        let prefix = "GET /healthz HTTP/1.1\r\nX-Pad: ";
+        let suffix = "\r\n\r\n";
+        let pad = MAX_HEAD_BYTES - prefix.len() - suffix.len() - 1;
+        let raw = format!("{prefix}{}{suffix}", "c".repeat(pad));
+        assert_eq!(raw.len(), MAX_HEAD_BYTES - 1);
+        let (parsed, consumed) = parse_cursor(&raw);
+        assert_eq!(parsed.unwrap().unwrap().path, "/healthz");
+        assert_eq!(consumed, raw.len() as u64);
     }
 
     #[test]

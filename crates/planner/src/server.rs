@@ -9,12 +9,14 @@
 //!    answers `/healthz`, `/readyz` and `/metrics` itself, and sheds
 //!    everything else with an immediate 429 counted under its route —
 //!    the one state this server never enters is "accepted but silent".
-//! 2. **Parse + route.** Parse threads read the request behind a socket
-//!    read timeout. `/healthz`, `/readyz`, `/surfaces` and `/metrics`
-//!    (Prometheus text format) are answered inline — observability
-//!    stays live however overloaded the evaluation stage is. Query
-//!    endpoints are admitted to the bounded work queue; a full queue
-//!    sheds with 429.
+//! 2. **Parse + route.** Parse threads read the request through a
+//!    reader that stops at the request's deadline, measured from
+//!    arrival, and at [`crate::http::MAX_HEAD_BYTES`]; a request cut off
+//!    by either cap is answered 400. `/healthz`, `/readyz`, `/surfaces`
+//!    and `/metrics` (Prometheus text format) are answered inline —
+//!    observability stays live however overloaded the evaluation stage
+//!    is. Query endpoints are admitted to the bounded work queue; a full
+//!    queue sheds with 429.
 //! 3. **Evaluate.** Worker threads answer from the surrogate index in
 //!    microseconds. A request older than its deadline is answered with
 //!    a structured 504 *without* evaluating. `/plan?exact=1` attempts
@@ -27,7 +29,7 @@
 //!    acceptor, lets every admitted request finish, then joins all
 //!    stages. In-flight work is completed, not dropped.
 
-use std::io::BufReader;
+use std::io::{BufReader, Read};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -636,10 +638,14 @@ pub fn serve(index: SurfaceIndex, cfg: ServerConfig) -> Result<ServerHandle, Str
                             // health, readiness and metrics are answered
                             // here, the rest shed with 429 under their
                             // route.
-                            let route = read_request(&mut &read_head(&mut stream)[..])
-                                .ok()
-                                .flatten()
-                                .map_or("-", |r| route_label(&r.path));
+                            let _ = stream.set_nonblocking(false);
+                            let route = read_request(&mut BufReader::new(DeadlineReader {
+                                stream: &stream,
+                                deadline: Instant::now() + Duration::from_millis(25),
+                            }))
+                            .ok()
+                            .flatten()
+                            .map_or("-", |r| route_label(&r.path));
                             if let "/healthz" | "/readyz" | "/metrics" = route {
                                 engine.answer_inline(route, &mut stream, arrival);
                             } else {
@@ -672,13 +678,13 @@ pub fn serve(index: SurfaceIndex, cfg: ServerConfig) -> Result<ServerHandle, Str
             let Ok((mut stream, arrival)) = received else {
                 break; // acceptor gone and backlog drained
             };
-            // The read timeout bounds a slow-writing client by the
-            // request deadline; a timeout surfaces as a read error.
+            // The whole read, not each `read` call, must finish by the
+            // request deadline: a client that drips its bytes holds
+            // this parser for at most that long.
             let _ = stream.set_nonblocking(false);
-            let _ = stream.set_read_timeout(Some(engine.cfg.deadline));
-            let mut reader = BufReader::new(match stream.try_clone() {
-                Ok(h) => h,
-                Err(_) => continue,
+            let mut reader = BufReader::new(DeadlineReader {
+                stream: &stream,
+                deadline: arrival + engine.cfg.deadline,
             });
             let request = match read_request(&mut reader) {
                 Ok(Some(r)) => r,
@@ -774,25 +780,27 @@ pub fn serve(index: SurfaceIndex, cfg: ServerConfig) -> Result<ServerHandle, Str
     })
 }
 
-/// Reads what a shed connection has sent within 25 ms of the shed
-/// decision: up to the end of its headers, or 1 KiB.
-fn read_head(stream: &mut TcpStream) -> Vec<u8> {
-    use std::io::Read;
-    let deadline = Instant::now() + Duration::from_millis(25);
-    let _ = stream.set_nonblocking(false);
-    let mut head = Vec::new();
-    let mut buf = [0u8; 1024];
-    while head.len() < buf.len() && !head.windows(4).any(|w| w == b"\r\n\r\n") {
-        let left = deadline.saturating_duration_since(Instant::now());
-        if left.is_zero() || stream.set_read_timeout(Some(left)).is_err() {
-            break;
+/// Reads a socket until a fixed instant: before every `read` it sets the
+/// socket timeout to the time left, and it fails with `TimedOut` once no
+/// time is left. A per-call timeout alone would let a client that sends
+/// one byte per timeout hold the reader indefinitely.
+struct DeadlineReader<'a> {
+    stream: &'a TcpStream,
+    deadline: Instant,
+}
+
+impl Read for DeadlineReader<'_> {
+    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+        let left = self.deadline.saturating_duration_since(Instant::now());
+        if left.is_zero() {
+            return Err(std::io::Error::new(
+                std::io::ErrorKind::TimedOut,
+                "request deadline passed",
+            ));
         }
-        match stream.read(&mut buf[..1024 - head.len()]) {
-            Ok(0) | Err(_) => break,
-            Ok(k) => head.extend_from_slice(&buf[..k]),
-        }
+        self.stream.set_read_timeout(Some(left))?;
+        self.stream.read(buf)
     }
-    head
 }
 
 /// Serializes a row as one JSONL line.

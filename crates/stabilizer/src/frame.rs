@@ -15,6 +15,11 @@
 //! sign-flipped per shot by [`PauliFrames::flip_plane`] — the equivalence
 //! argument behind [`crate::estimate_energy`], validated against the
 //! per-shot tableau path by the `frame_equivalence` property suite.
+//!
+//! Frames are filled by [`crate::NoiseProgram`], which walks its compiled
+//! gate kernels and hands each injection site's Bernoulli hit lists to
+//! the crate-private `inject_*_hits` injectors. [`PauliFrames::inject`]
+//! places one letter by hand.
 
 use crate::noise::StabilizerNoise;
 use crate::tableau::quarter_turns;
@@ -82,19 +87,6 @@ impl PauliFrames {
     /// Number of shots in the batch.
     pub fn num_shots(&self) -> usize {
         self.shots
-    }
-
-    /// The X flip-plane of qubit `q`: bit `s` set ⇔ shot `s`'s frame has
-    /// an X (or Y) component on `q`.
-    #[inline]
-    pub(crate) fn fx_col(&self, q: usize) -> &[u64] {
-        &self.fx[q * self.words..(q + 1) * self.words]
-    }
-
-    /// The Z flip-plane of qubit `q` (set ⇔ Z or Y component on `q`).
-    #[inline]
-    pub(crate) fn fz_col(&self, q: usize) -> &[u64] {
-        &self.fz[q * self.words..(q + 1) * self.words]
     }
 
     /// Propagates the frames through one Clifford gate (conjugation,
@@ -219,57 +211,51 @@ impl PauliFrames {
         }
     }
 
-    /// XORs single-qubit depolarizing errors into every shot whose bit is
-    /// set in `mask`: each hit lane receives a uniform X/Y/Z letter,
-    /// chosen word-parallel — two random words give each lane a candidate
-    /// `(x, z)` pair and the (identity) `(0, 0)` lanes are redrawn until
-    /// none remain, which leaves the three non-identity letters exactly
-    /// uniform.
-    ///
-    /// This is the dense half of the batched sampler; the hit mask itself
-    /// comes from [`eftq_numerics::BernoulliWords`].
+    /// XORs single-qubit depolarizing errors into the hit lanes of one
+    /// injection site. Each `(word, lane-mask)` pair receives a uniform
+    /// X/Y/Z letter per set lane, chosen word-parallel by
+    /// `uniform_nonzero_pair`. Pairs arrive in ascending word order with
+    /// non-empty masks, the shape
+    /// [`eftq_numerics::BernoulliWords::hit_site_runs`] hands to
+    /// [`crate::NoiseProgram`], so a site with no hits costs nothing.
     ///
     /// # Panics
     ///
-    /// Panics if `mask` is shorter than the lane-word count.
-    pub fn inject_depolarizing_masked<R: Rng + ?Sized>(
+    /// Panics if a pair's word index is out of range.
+    pub(crate) fn inject_depolarizing_hits<R: Rng + ?Sized>(
         &mut self,
         q: usize,
-        mask: &[u64],
+        hits: &[(u32, u64)],
         rng: &mut R,
     ) {
-        assert!(mask.len() >= self.words, "mask too short");
         let b = q * self.words;
-        for (w, &h) in mask.iter().enumerate().take(self.words) {
-            if h == 0 {
-                continue;
-            }
+        for &(w, h) in hits {
+            let w = w as usize;
+            assert!(w < self.words, "hit word {w} out of range");
             let (x, z) = uniform_nonzero_pair(h, rng);
             self.fx[b + w] ^= x;
             self.fz[b + w] ^= z;
         }
     }
 
-    /// Two-qubit analogue of [`PauliFrames::inject_depolarizing_masked`]:
-    /// every hit lane receives a uniform non-identity two-qubit Pauli
-    /// (four random words, `(0,0,0,0)` lanes redrawn).
+    /// Two-qubit form of [`PauliFrames::inject_depolarizing_hits`]: every
+    /// hit lane receives a uniform non-identity two-qubit Pauli (four
+    /// random words, `(0,0,0,0)` lanes redrawn).
     ///
     /// # Panics
     ///
-    /// Panics if `mask` is shorter than the lane-word count.
-    pub fn inject_depolarizing_2q_masked<R: Rng + ?Sized>(
+    /// Panics if a pair's word index is out of range.
+    pub(crate) fn inject_depolarizing_2q_hits<R: Rng + ?Sized>(
         &mut self,
         a: usize,
         b: usize,
-        mask: &[u64],
+        hits: &[(u32, u64)],
         rng: &mut R,
     ) {
-        assert!(mask.len() >= self.words, "mask too short");
         let (ba, bb) = (a * self.words, b * self.words);
-        for (w, &h) in mask.iter().enumerate().take(self.words) {
-            if h == 0 {
-                continue;
-            }
+        for &(w, h) in hits {
+            let w = w as usize;
+            assert!(w < self.words, "hit word {w} out of range");
             let mut xa = rng.gen::<u64>() & h;
             let mut za = rng.gen::<u64>() & h;
             let mut xb = rng.gen::<u64>() & h;
@@ -289,108 +275,15 @@ impl PauliFrames {
         }
     }
 
-    /// XORs twirled-idle errors into every shot whose bit is set in
-    /// `mask`, drawing each hit's letter from the ladder's conditional
-    /// distribution (the mask already encodes the Bernoulli(`total`)
+    /// Twirled-idle form of [`PauliFrames::inject_depolarizing_hits`]:
+    /// one ladder-conditional letter per hit lane, drawn in ascending
+    /// shot order (the hit lists already encode the Bernoulli(`total`)
     /// outcome).
     ///
     /// # Panics
     ///
-    /// Panics if `mask` is shorter than the lane-word count.
-    pub fn inject_idle_masked<R: Rng + ?Sized>(
-        &mut self,
-        q: usize,
-        mask: &[u64],
-        ladder: &crate::noise::IdleLadder,
-        rng: &mut R,
-    ) {
-        assert!(mask.len() >= self.words, "mask too short");
-        for (w, &h) in mask.iter().enumerate().take(self.words) {
-            let mut bits = h;
-            while bits != 0 {
-                let s = w * WORD_BITS + bits.trailing_zeros() as usize;
-                self.inject(q, s, ladder.conditional_letter(rng));
-                bits &= bits - 1;
-            }
-        }
-    }
-
-    /// Hit-list form of [`PauliFrames::inject_depolarizing_masked`]: each
-    /// `(word, lane-mask)` pair receives word-parallel uniform X/Y/Z
-    /// letters. Pairs must arrive in ascending word order with non-empty
-    /// masks — the shape [`eftq_numerics::BernoulliWords::hit_words`]
-    /// produces — and then the RNG draws match the masked variant exactly,
-    /// so the two forms are interchangeable mid-stream. An empty list
-    /// costs nothing; that is the point: at sparse noise rates most
-    /// injection sites have no hits, and this path skips the mask
-    /// materialization and scan the masked form pays per site.
-    ///
-    /// # Panics
-    ///
     /// Panics if a pair's word index is out of range.
-    pub fn inject_depolarizing_hits<R: Rng + ?Sized>(
-        &mut self,
-        q: usize,
-        hits: &[(u32, u64)],
-        rng: &mut R,
-    ) {
-        let b = q * self.words;
-        for &(w, h) in hits {
-            let w = w as usize;
-            assert!(w < self.words, "hit word {w} out of range");
-            let (x, z) = uniform_nonzero_pair(h, rng);
-            self.fx[b + w] ^= x;
-            self.fz[b + w] ^= z;
-        }
-    }
-
-    /// Hit-list form of [`PauliFrames::inject_depolarizing_2q_masked`]
-    /// (uniform non-identity two-qubit Pauli per hit lane). Same contract
-    /// and RNG-stream equivalence as
-    /// [`PauliFrames::inject_depolarizing_hits`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if a pair's word index is out of range.
-    pub fn inject_depolarizing_2q_hits<R: Rng + ?Sized>(
-        &mut self,
-        a: usize,
-        b: usize,
-        hits: &[(u32, u64)],
-        rng: &mut R,
-    ) {
-        let (ba, bb) = (a * self.words, b * self.words);
-        for &(w, h) in hits {
-            let w = w as usize;
-            assert!(w < self.words, "hit word {w} out of range");
-            let mut xa = rng.gen::<u64>() & h;
-            let mut za = rng.gen::<u64>() & h;
-            let mut xb = rng.gen::<u64>() & h;
-            let mut zb = rng.gen::<u64>() & h;
-            let mut bad = h & !(xa | za | xb | zb);
-            while bad != 0 {
-                xa |= bad & rng.gen::<u64>();
-                za |= bad & rng.gen::<u64>();
-                xb |= bad & rng.gen::<u64>();
-                zb |= bad & rng.gen::<u64>();
-                bad &= !(xa | za | xb | zb);
-            }
-            self.fx[ba + w] ^= xa;
-            self.fz[ba + w] ^= za;
-            self.fx[bb + w] ^= xb;
-            self.fz[bb + w] ^= zb;
-        }
-    }
-
-    /// Hit-list form of [`PauliFrames::inject_idle_masked`] (one
-    /// ladder-conditional letter per hit lane, drawn in ascending shot
-    /// order). Same contract and RNG-stream equivalence as
-    /// [`PauliFrames::inject_depolarizing_hits`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if a pair's word index is out of range.
-    pub fn inject_idle_hits<R: Rng + ?Sized>(
+    pub(crate) fn inject_idle_hits<R: Rng + ?Sized>(
         &mut self,
         q: usize,
         hits: &[(u32, u64)],
@@ -405,82 +298,6 @@ impl PauliFrames {
                 let s = w * WORD_BITS + bits.trailing_zeros() as usize;
                 self.inject(q, s, ladder.conditional_letter(rng));
                 bits &= bits - 1;
-            }
-        }
-    }
-
-    /// Fills the Z planes of every qubit with uniform random bits (X
-    /// planes untouched, padding lanes kept clear). On `|0…0⟩` a Z error
-    /// acts trivially, so prepending this to a frame batch leaves every
-    /// *expectation* untouched — but after propagation the random Z's
-    /// flip exactly the measurement outcomes that are genuinely random,
-    /// which is what lets one deterministic reference sample stand in for
-    /// per-shot collapse in the grouped sampling path (Stim's frame
-    /// randomization; see [`crate::GroupedObservable`]).
-    pub fn randomize_z<R: Rng + ?Sized>(&mut self, rng: &mut R) {
-        let tail = lo_mask_tail(self.shots, self.words);
-        for q in 0..self.n {
-            let b = q * self.words;
-            for w in 0..self.words {
-                self.fz[b + w] = rng.gen::<u64>();
-            }
-            self.fz[b + self.words - 1] &= tail;
-        }
-    }
-
-    /// Samples single-qubit depolarizing noise on `q` independently per
-    /// shot: with probability `p` a uniform X/Y/Z hits the shot's frame.
-    /// The letter draw is shared with the per-shot tableau path. This is
-    /// the per-call reference sampler; the production path draws whole
-    /// flip masks (see [`crate::program::NoiseProgram`]).
-    pub fn inject_depolarizing<R: Rng + ?Sized>(&mut self, q: usize, p: f64, rng: &mut R) {
-        if p <= 0.0 {
-            return;
-        }
-        for s in 0..self.shots {
-            if rng.gen_bool(p) {
-                let letter = crate::noise::depolarizing_letter(rng);
-                self.inject(q, s, letter);
-            }
-        }
-    }
-
-    /// Samples two-qubit depolarizing noise on `(a, b)` independently per
-    /// shot: with probability `p` a uniform non-identity two-qubit Pauli.
-    /// The letter draw is shared with the per-shot tableau path.
-    pub fn inject_depolarizing_2q<R: Rng + ?Sized>(
-        &mut self,
-        a: usize,
-        b: usize,
-        p: f64,
-        rng: &mut R,
-    ) {
-        if p <= 0.0 {
-            return;
-        }
-        for s in 0..self.shots {
-            if rng.gen_bool(p) {
-                let (pa, pb) = crate::noise::depolarizing_letters_2q(rng);
-                self.inject(a, s, pa);
-                self.inject(b, s, pb);
-            }
-        }
-    }
-
-    /// Samples Pauli-twirled idle noise `(px, py, pz)` on `q` per shot,
-    /// via the ladder shared with the per-shot tableau path.
-    pub fn inject_idle<R: Rng + ?Sized>(
-        &mut self,
-        q: usize,
-        idle: &crate::noise::TwirledIdle,
-        rng: &mut R,
-    ) {
-        if idle.total() <= 0.0 {
-            return;
-        }
-        for s in 0..self.shots {
-            if let Some(l) = idle.sample(rng) {
-                self.inject(q, s, l);
             }
         }
     }
@@ -550,18 +367,6 @@ impl PauliFrames {
     }
 }
 
-/// Mask of the valid (sub-`shots`) lanes of the last of `words` lane
-/// words.
-#[inline]
-pub(crate) fn lo_mask_tail(shots: usize, words: usize) -> u64 {
-    let used = shots - (words - 1) * WORD_BITS;
-    if used == WORD_BITS {
-        !0
-    } else {
-        (1u64 << used) - 1
-    }
-}
-
 /// Word-parallel uniform draw over the three non-identity `(x, z)` letter
 /// pairs, restricted to the lanes of `h`: `(0, 0)` lanes are redrawn
 /// until none remain (each round keeps 3 of 4 candidates, so the loop
@@ -582,14 +387,14 @@ fn uniform_nonzero_pair<R: Rng + ?Sized>(h: u64, rng: &mut R) -> (u64, u64) {
 /// Propagates `shots` Pauli frames through a bound Clifford circuit under
 /// the given noise model, using the compiled batched sampler: the circuit
 /// and noise model are flattened into a [`crate::program::NoiseProgram`]
-/// once, then injection sites draw whole Bernoulli flip-mask words
-/// instead of one RNG call per (gate, shot) pair. Shot batches derive
-/// their RNG streams from `seed` and their batch index, so the result is
-/// deterministic and identical to the threaded runner at any worker
-/// count.
+/// once, then injection sites draw Bernoulli hit words instead of one
+/// RNG call per (gate, shot) pair. Shot batches derive their RNG streams
+/// from `seed` and their batch index, so the result is deterministic and
+/// identical to the threaded runner at any worker count.
 ///
-/// Statistically equivalent to [`run_noisy_frames_percall`], the per-call
-/// reference sampler the equivalence suite checks against.
+/// Statistically equivalent to the per-call sampler
+/// `reference::run_noisy_frames_percall` that the equivalence suite
+/// checks against.
 pub fn run_noisy_frames(
     circuit: &Circuit,
     noise: &StabilizerNoise,
@@ -599,60 +404,11 @@ pub fn run_noisy_frames(
     crate::program::NoiseProgram::compile(circuit, noise).run(shots, seed)
 }
 
-/// Reference implementation of [`run_noisy_frames`]: walks the circuit
-/// drawing one `rng.gen_bool(p)` per (site, shot) pair, sampling errors
-/// at exactly the locations the per-shot executor
-/// [`crate::noise::run_noisy_shot`] samples them (after each gate, per
-/// gate class; twirled idle noise on every qubit idle in a layer).
-/// Measurement gates are skipped and leave their qubit idle, matching
-/// the per-shot path. Kept as the ground truth for the statistical
-/// equivalence suite and the sampling benchmarks — `O(sites × shots)`
-/// RNG draws, so use [`run_noisy_frames`] everywhere else.
-pub fn run_noisy_frames_percall<R: Rng + ?Sized>(
-    circuit: &Circuit,
-    noise: &StabilizerNoise,
-    shots: usize,
-    rng: &mut R,
-) -> PauliFrames {
-    let n = circuit.num_qubits();
-    let mut f = PauliFrames::new(n, shots);
-    for layer in circuit.layers() {
-        let mut busy = vec![false; n];
-        for g in &layer {
-            if g.is_measurement() {
-                continue;
-            }
-            let (qs, k) = g.qubits_inline();
-            for &q in &qs[..k] {
-                busy[q] = true;
-            }
-            f.apply_gate(g);
-            match *g {
-                Gate::Cx(a, b) | Gate::Cz(a, b) | Gate::Swap(a, b) => {
-                    f.inject_depolarizing_2q(a, b, noise.depol_2q, rng);
-                }
-                Gate::Rz(q, _) => f.inject_depolarizing(q, noise.depol_rz, rng),
-                Gate::Rx(q, _) | Gate::Ry(q, _) => {
-                    f.inject_depolarizing(q, noise.depol_rot_xy, rng);
-                }
-                _ => f.inject_depolarizing(qs[0], noise.depol_1q, rng),
-            }
-        }
-        if noise.idle.total() > 0.0 {
-            for (q, &b) in busy.iter().enumerate() {
-                if !b {
-                    f.inject_idle(q, &noise.idle, rng);
-                }
-            }
-        }
-    }
-    f
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::noise::TwirledIdle;
+    use crate::reference::{inject_depolarizing, inject_depolarizing_2q, inject_idle};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -722,7 +478,7 @@ mod tests {
     fn certain_depolarizing_hits_every_shot() {
         let mut rng = StdRng::seed_from_u64(3);
         let mut f = PauliFrames::new(1, 130);
-        f.inject_depolarizing(0, 1.0, &mut rng);
+        inject_depolarizing(&mut f, 0, 1.0, &mut rng);
         // Every shot has a non-identity letter: it anticommutes with at
         // least one of X, Z — and X+Z flip counts total ≥ shots.
         let fx = f.flip_count(&pauli("Z"));
@@ -738,8 +494,8 @@ mod tests {
         // 65 shots spans two lane words with 63 padding bits.
         let mut rng = StdRng::seed_from_u64(9);
         let mut f = PauliFrames::new(2, 65);
-        f.inject_depolarizing(0, 1.0, &mut rng);
-        f.inject_depolarizing_2q(0, 1, 0.7, &mut rng);
+        inject_depolarizing(&mut f, 0, 1.0, &mut rng);
+        inject_depolarizing_2q(&mut f, 0, 1, 0.7, &mut rng);
         f.apply_gate(&Gate::H(0));
         f.apply_gate(&Gate::Cx(0, 1));
         for p in ["ZI", "IZ", "XX", "YY", "XI"] {
@@ -753,7 +509,7 @@ mod tests {
     fn single_shot_batch_works() {
         let mut rng = StdRng::seed_from_u64(4);
         let mut f = PauliFrames::new(3, 1);
-        f.inject_depolarizing(1, 1.0, &mut rng);
+        inject_depolarizing(&mut f, 1, 1.0, &mut rng);
         assert!(!f.frame(0).is_identity());
         assert_eq!(f.frame(0).pauli_at(0), Pauli::I);
         assert_eq!(f.frame(0).pauli_at(2), Pauli::I);
@@ -768,7 +524,7 @@ mod tests {
             py: 0.0,
             pz: 0.0,
         };
-        f.inject_idle(0, &idle, &mut rng);
+        inject_idle(&mut f, 0, &idle, &mut rng);
         // Only X errors: flip ⟨Z⟩ on ~25% of shots.
         let flips = f.flip_count(&pauli("Z"));
         assert_eq!(f.flip_count(&pauli("X")), 0);

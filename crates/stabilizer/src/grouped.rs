@@ -35,13 +35,6 @@
 //! directly with [`Tableau::expectation`]. Values are identical either
 //! way; only the operation count changes.
 //!
-//! The same compiled groups also drive [`sample_energy_grouped`], the
-//! measurement-style estimator: outcome words are sampled once per
-//! group (Stim-style reference-frame randomization supplies the
-//! branch randomness for indeterminate measurements) and every member
-//! term is read off the shared shot words, turning `#terms × #shots`
-//! sampling work into `#groups × #shots`.
-//!
 //! # Examples
 //!
 //! ```
@@ -68,12 +61,7 @@
 //! assert_eq!(grouped.energy(&t), t.energy(&h)); // −1 −1 +0.5
 //! ```
 
-use crate::frame::lo_mask_tail;
-use crate::noise::NoisyCliffordRun;
-use crate::program::NoiseProgram;
 use crate::tableau::{lo_mask, Tableau};
-use eftq_circuit::Circuit;
-use eftq_numerics::{BernoulliWords, SeedSequence};
 use eftq_pauli::{group_qubit_wise_commuting, Pauli, PauliSum};
 
 /// An RNG that always returns zero, used to pick a *canonical branch*
@@ -110,8 +98,8 @@ struct CompiledGroup {
     rot_x: Vec<usize>,
     /// Qubits whose basis letter is Y: rotate with S† then H.
     rot_y: Vec<usize>,
-    /// Ascending union support with each qubit's measurement letter.
-    union: Vec<(usize, Pauli)>,
+    /// Ascending union support: the qubits the collapse measures.
+    union: Vec<usize>,
     /// Member terms.
     terms: Vec<CompiledTerm>,
     /// Whether [`GroupedObservable::expectations`] collapses this group
@@ -161,13 +149,13 @@ impl GroupedObservable {
                         Pauli::I => {}
                         Pauli::X => {
                             rot_x.push(q);
-                            union.push((q, b));
+                            union.push(q);
                         }
                         Pauli::Y => {
                             rot_y.push(q);
-                            union.push((q, b));
+                            union.push(q);
                         }
-                        Pauli::Z => union.push((q, b)),
+                        Pauli::Z => union.push(q),
                     }
                 }
                 let terms: Vec<CompiledTerm> = g
@@ -276,7 +264,7 @@ impl GroupedObservable {
             }
             // Collapse the union support ascending on a canonical
             // branch; deterministic terms are branch-invariant.
-            for &(q, _) in &g.union {
+            for &q in &g.union {
                 outcomes[q] = w.measure(q, &mut ZeroRng);
             }
             for (term, &is_det) in g.terms.iter().zip(&det) {
@@ -309,133 +297,6 @@ impl GroupedObservable {
             .zip(&e0)
             .map(|(&c, &e)| c * e)
             .sum()
-    }
-}
-
-/// Measurement-style noisy energy estimator: samples computational-basis
-/// outcome words once per QWC group and reads every member term off the
-/// shared shot words (`#groups × #shots` sampling work instead of
-/// `#terms × #shots`).
-///
-/// Per group, the reference outcomes come from one canonical collapse of
-/// the ideal tableau; per shot, the outcome of qubit `q` is the
-/// reference bit XOR the frame-flip bit (a frame anticommuting with the
-/// measured letter flips the outcome) XOR a readout-flip bit drawn at
-/// probability `meas_flip`. The frames come from
-/// [`NoiseProgram::run_randomized`], whose Stim-style reference-frame
-/// randomization supplies the branch randomness: an indeterminate
-/// measurement's outcome is uniformly random per shot, while a
-/// deterministic one is only perturbed by noise. Readout error is
-/// therefore applied *physically* (bit flips on outcomes, correlated
-/// across terms sharing a qubit) rather than through per-term damping
-/// factors — statistically equivalent in expectation to
-/// [`crate::estimate_energy_program`], but not bit-identical, so the
-/// recorded-baseline paths keep using the damping estimator.
-///
-/// Deterministic for a fixed seed and independent of `threads`.
-///
-/// # Panics
-///
-/// Panics if `shots == 0` or the circuit/grouping/program sizes
-/// mismatch.
-pub fn sample_energy_grouped(
-    circuit: &Circuit,
-    grouped: &GroupedObservable,
-    program: &NoiseProgram,
-    meas_flip: f64,
-    shots: usize,
-    seed: SeedSequence,
-    threads: usize,
-) -> NoisyCliffordRun {
-    assert!(shots > 0, "at least one shot required");
-    assert_eq!(
-        circuit.num_qubits(),
-        grouped.num_qubits(),
-        "circuit/grouping size mismatch"
-    );
-    assert_eq!(
-        circuit.num_qubits(),
-        program.num_qubits(),
-        "circuit/program size mismatch"
-    );
-    let n = circuit.num_qubits();
-    let mut ideal = Tableau::new(n);
-    ideal.run(circuit);
-    let frames = program.run_randomized(shots, seed.derive("pauli-frames"), threads);
-    let swords = shots.div_ceil(64);
-    let tail = lo_mask_tail(shots, swords);
-    let mut energies = vec![0.0f64; shots];
-    let mut meas_rng = seed.derive("meas-flip").rng();
-    let mut meas = BernoulliWords::new(meas_flip);
-    // Outcome words per qubit, rewritten per group (only union qubits
-    // are read).
-    let mut outcome_words = vec![0u64; n * swords];
-    let mut scratch = vec![0u64; swords];
-    let mut work: Option<Tableau> = None;
-    for g in grouped.groups.iter() {
-        let w = match &mut work {
-            Some(w) => {
-                w.copy_from(&ideal);
-                w
-            }
-            None => work.insert(ideal.clone()),
-        };
-        for &q in &g.rot_x {
-            w.h(q);
-        }
-        for &q in &g.rot_y {
-            w.sdg(q);
-            w.h(q);
-        }
-        for &(q, b) in &g.union {
-            let reference = w.measure(q, &mut ZeroRng);
-            let ref_fill = if reference { !0u64 } else { 0 };
-            let (fx, fz) = (frames.fx_col(q), frames.fz_col(q));
-            let off = q * swords;
-            for i in 0..swords {
-                let flip = match b {
-                    Pauli::Z => fx[i],
-                    Pauli::X => fz[i],
-                    Pauli::Y => fx[i] ^ fz[i],
-                    Pauli::I => unreachable!("identity qubit in union support"),
-                };
-                outcome_words[off + i] = ref_fill ^ flip;
-            }
-            meas.fill_mask(&mut scratch, shots, &mut meas_rng);
-            for (o, &m) in outcome_words[off..off + swords].iter_mut().zip(&scratch) {
-                *o ^= m;
-            }
-            outcome_words[off + swords - 1] &= tail;
-        }
-        for term in &g.terms {
-            let v = grouped.coefficients[term.index] * term.sign;
-            if v == 0.0 {
-                continue;
-            }
-            scratch.iter_mut().for_each(|s| *s = 0);
-            for &q in &term.support {
-                let off = q * swords;
-                for (s, &o) in scratch.iter_mut().zip(&outcome_words[off..off + swords]) {
-                    *s ^= o;
-                }
-            }
-            for e in energies.iter_mut() {
-                *e += v;
-            }
-            for (i, &word) in scratch.iter().enumerate() {
-                let mut bits = word;
-                while bits != 0 {
-                    let s = i * 64 + bits.trailing_zeros() as usize;
-                    energies[s] -= 2.0 * v;
-                    bits &= bits - 1;
-                }
-            }
-        }
-    }
-    NoisyCliffordRun {
-        energy: eftq_numerics::stats::mean(&energies),
-        std_error: eftq_numerics::stats::standard_error(&energies),
-        shots,
     }
 }
 

@@ -6,9 +6,9 @@
 //! Clifford-state simulations (Section 5.2.2).
 
 use crate::tableau::Tableau;
-use eftq_circuit::{Circuit, Gate};
+use eftq_circuit::Circuit;
 use eftq_numerics::SeedSequence;
-use eftq_pauli::{Pauli, PauliString, PauliSum};
+use eftq_pauli::{Pauli, PauliSum};
 use rand::Rng;
 
 /// Pauli-twirled idle-noise probabilities `(p_x, p_y, p_z)` per idle window.
@@ -53,7 +53,7 @@ impl TwirledIdle {
 
     /// Precomputes the cumulative ladder so repeated sampling does not
     /// re-add the probabilities per call. Build it once per run (the
-    /// per-shot executor) or once per program compilation (the batched
+    /// per-shot reference executor) or once per program compilation (the batched
     /// [`crate::program::NoiseProgram`] path).
     pub fn ladder(&self) -> IdleLadder {
         IdleLadder {
@@ -74,11 +74,11 @@ impl TwirledIdle {
 
 /// The precomputed cumulative table of a [`TwirledIdle`] ladder.
 ///
-/// Both the per-shot tableau executor and the batched noise program draw
-/// idle errors through this single implementation, so their noise models
-/// cannot drift apart. The batched path samples *whether* an idle window
-/// errs with a Bernoulli(`total`) flip mask and then draws the letter
-/// conditionally via [`IdleLadder::conditional_letter`].
+/// Both the per-shot reference executor and the batched noise program
+/// draw idle errors through this single implementation, so their noise
+/// models cannot drift apart. The batched path samples *whether* an idle
+/// window errs with Bernoulli(`total`) hit words and then draws the
+/// letter conditionally via [`IdleLadder::conditional_letter`].
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct IdleLadder {
     cum_x: f64,
@@ -126,19 +126,6 @@ impl IdleLadder {
     }
 }
 
-/// A uniform non-identity Pauli letter — the single-qubit depolarizing
-/// draw shared by the tableau and frame paths.
-pub(crate) fn depolarizing_letter<R: Rng + ?Sized>(rng: &mut R) -> Pauli {
-    Pauli::NON_IDENTITY[rng.gen_range(0..3usize)]
-}
-
-/// A uniform non-identity two-qubit Pauli — the two-qubit depolarizing
-/// draw shared by the tableau and frame paths.
-pub(crate) fn depolarizing_letters_2q<R: Rng + ?Sized>(rng: &mut R) -> (Pauli, Pauli) {
-    let idx = rng.gen_range(1..16usize);
-    (Pauli::ALL[idx / 4], Pauli::ALL[idx % 4])
-}
-
 /// Per-gate-class Pauli noise strengths for the Monte-Carlo executor.
 #[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub struct StabilizerNoise {
@@ -178,83 +165,6 @@ pub struct NoisyCliffordRun {
     pub shots: usize,
 }
 
-fn sample_depolarizing<R: Rng + ?Sized>(
-    rng: &mut R,
-    q: usize,
-    n: usize,
-    p: f64,
-) -> Option<PauliString> {
-    if p > 0.0 && rng.gen_bool(p) {
-        Some(PauliString::single(n, q, depolarizing_letter(rng)))
-    } else {
-        None
-    }
-}
-
-fn sample_depolarizing_2q<R: Rng + ?Sized>(
-    rng: &mut R,
-    a: usize,
-    b: usize,
-    n: usize,
-    p: f64,
-) -> Option<PauliString> {
-    if p > 0.0 && rng.gen_bool(p) {
-        let (pa, pb) = depolarizing_letters_2q(rng);
-        let mut s = PauliString::identity(n);
-        s.set_pauli(a, pa);
-        s.set_pauli(b, pb);
-        Some(s)
-    } else {
-        None
-    }
-}
-
-/// Runs one noisy shot of a bound Clifford circuit, returning the final
-/// tableau.
-pub fn run_noisy_shot<R: Rng + ?Sized>(
-    circuit: &Circuit,
-    noise: &StabilizerNoise,
-    rng: &mut R,
-) -> Tableau {
-    let n = circuit.num_qubits();
-    let mut t = Tableau::new(n);
-    let idle = noise.idle.ladder();
-    for layer in circuit.layers() {
-        let mut busy = vec![false; n];
-        for g in &layer {
-            if g.is_measurement() {
-                continue;
-            }
-            let (qs, k) = g.qubits_inline();
-            for &q in &qs[..k] {
-                busy[q] = true;
-            }
-            t.apply_gate(g);
-            let err = match *g {
-                Gate::Cx(a, b) | Gate::Cz(a, b) | Gate::Swap(a, b) => {
-                    sample_depolarizing_2q(rng, a, b, n, noise.depol_2q)
-                }
-                Gate::Rz(q, _) => sample_depolarizing(rng, q, n, noise.depol_rz),
-                Gate::Rx(q, _) | Gate::Ry(q, _) => {
-                    sample_depolarizing(rng, q, n, noise.depol_rot_xy)
-                }
-                _ => sample_depolarizing(rng, qs[0], n, noise.depol_1q),
-            };
-            if let Some(e) = err {
-                t.apply_pauli_error(&e);
-            }
-        }
-        if idle.total() > 0.0 {
-            for (q, _) in busy.iter().enumerate().filter(|&(_, &b)| !b) {
-                if let Some(l) = idle.sample(rng) {
-                    t.apply_pauli_error(&PauliString::single(n, q, l));
-                }
-            }
-        }
-    }
-    t
-}
-
 /// Monte-Carlo estimate of `⟨H⟩` for a bound Clifford circuit under Pauli
 /// noise, averaging `shots` independent trajectories. Readout error is
 /// applied analytically: each term's expectation is damped by
@@ -262,12 +172,13 @@ pub fn run_noisy_shot<R: Rng + ?Sized>(
 ///
 /// Implemented with the batched Pauli-frame engine: the noiseless tableau
 /// runs *once*, the circuit + noise model are compiled to a
-/// [`crate::program::NoiseProgram`] whose sites draw whole Bernoulli flip
-/// masks, noise propagates as [`crate::frame::PauliFrames`] (64 shots per
+/// [`crate::program::NoiseProgram`] whose sites draw Bernoulli hit
+/// words, noise propagates as [`crate::frame::PauliFrames`] (64 shots per
 /// word), and each term's noisy expectation is its noiseless value
 /// sign-flipped per shot by frame/term anticommutation. The statistical
-/// model is identical to running `shots` independent noisy tableaus (see
-/// [`estimate_energy_tableau`]); only the RNG stream differs.
+/// model is identical to running `shots` independent noisy tableaus (the
+/// per-shot reference `reference::estimate_energy_tableau`); only the
+/// RNG stream differs.
 ///
 /// Equivalent to [`estimate_energy_threaded`] with one worker — and,
 /// because shot batches derive their RNG streams from their batch index,
@@ -432,51 +343,6 @@ pub(crate) fn accumulate_energy(
                 bits &= bits - 1;
             }
         }
-    }
-    NoisyCliffordRun {
-        energy: eftq_numerics::stats::mean(&energies),
-        std_error: eftq_numerics::stats::standard_error(&energies),
-        shots,
-    }
-}
-
-/// Reference implementation of [`estimate_energy`]: one full noisy tableau
-/// per shot. Statistically identical to the frame-batched estimator and
-/// kept for the equivalence property tests and as the benchmark baseline —
-/// use [`estimate_energy`] everywhere else; this path is `O(shots)` slower.
-///
-/// # Panics
-///
-/// Panics if `shots == 0` or the circuit/observable sizes mismatch.
-pub fn estimate_energy_tableau(
-    circuit: &Circuit,
-    observable: &PauliSum,
-    noise: &StabilizerNoise,
-    shots: usize,
-    seed: SeedSequence,
-) -> NoisyCliffordRun {
-    assert!(shots > 0, "at least one shot required");
-    assert_eq!(
-        circuit.num_qubits(),
-        observable.num_qubits(),
-        "circuit/observable size mismatch"
-    );
-    let damping: Vec<f64> = observable
-        .terms()
-        .iter()
-        .map(|t| (1.0 - 2.0 * noise.meas_flip).powi(t.string.weight() as i32))
-        .collect();
-    let mut energies = Vec::with_capacity(shots);
-    for shot in 0..shots {
-        let mut rng = seed.derive_index(shot as u64).rng();
-        let t = run_noisy_shot(circuit, noise, &mut rng);
-        let e: f64 = observable
-            .terms()
-            .iter()
-            .zip(damping.iter())
-            .map(|(term, d)| term.coefficient * d * t.expectation(&term.string))
-            .sum();
-        energies.push(e);
     }
     NoisyCliffordRun {
         energy: eftq_numerics::stats::mean(&energies),

@@ -14,9 +14,9 @@
 //!   sampler whose geometric-skip cursor runs through the flat
 //!   `(site × shot)` bit-grid, so a sparse class costs one logarithm per
 //!   **hit** rather than one RNG draw per trial;
-//! * a site's hits arrive as whole flip-mask words that are XORed into
-//!   the frame planes, with error letters drawn word-parallel (see
-//!   [`PauliFrames::inject_depolarizing_masked`]);
+//! * a site's hits arrive as `(word, lane-mask)` hit lists, and the
+//!   frame injectors XOR error letters drawn word-parallel into the hit
+//!   lanes of the frame planes;
 //! * consecutive same-class sites are fused at compile time into **site
 //!   runs** executed by [`BernoulliWords::hit_site_runs`]: within a
 //!   layer, gate kernels are emitted before injection sites (legal
@@ -258,8 +258,8 @@ impl NoiseTemplate {
     /// Compiles a (possibly symbolic) Clifford circuit and noise model
     /// into the flat site program. Zero-probability sites are elided at
     /// compile time; measurement gates are skipped and leave their qubit
-    /// idle, matching the per-shot executor
-    /// [`crate::noise::run_noisy_shot`].
+    /// idle, matching the per-shot reference executor
+    /// `reference::run_noisy_shot`.
     ///
     /// Within each layer, all gate kernels are emitted before all
     /// injection sites. A layer's gates act on disjoint qubits, so this
@@ -529,7 +529,7 @@ impl NoiseProgram {
     /// Compiles a bound Clifford circuit and noise model into the flat
     /// site program. Zero-probability sites are elided at compile time;
     /// measurement gates are skipped and leave their qubit idle, matching
-    /// the per-shot executor [`crate::noise::run_noisy_shot`].
+    /// the per-shot reference executor `reference::run_noisy_shot`.
     ///
     /// Equivalent to `NoiseTemplate::compile(circuit, noise)
     /// .bind_clifford(&[])` — genome loops should hoist the template and
@@ -573,45 +573,16 @@ impl NoiseProgram {
     ///
     /// Panics if `shots == 0` or a worker panics.
     pub fn run_threaded(&self, shots: usize, seed: SeedSequence, threads: usize) -> PauliFrames {
-        self.run_inner(shots, seed, threads, false)
-    }
-
-    /// [`NoiseProgram::run_threaded`] with Stim-style *outcome
-    /// randomization*: before the circuit walk, every batch fills its Z
-    /// frame planes with uniform random bits. On `|0…0⟩` a Z error acts
-    /// trivially, so expectations are untouched — but the propagated
-    /// randomness flips exactly the measurement outcomes that are
-    /// genuinely random, which is what the grouped sampling estimator
-    /// (see [`crate::sample_energy_grouped`]) needs to turn one
-    /// deterministic reference sample into correctly-distributed
-    /// per-shot outcomes. A separate entry point so the plain
-    /// [`NoiseProgram::run`] RNG stream (and every artifact derived from
-    /// it) stays byte-identical.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `shots == 0` or a worker panics.
-    pub fn run_randomized(&self, shots: usize, seed: SeedSequence, threads: usize) -> PauliFrames {
-        self.run_inner(shots, seed, threads, true)
-    }
-
-    fn run_inner(
-        &self,
-        shots: usize,
-        seed: SeedSequence,
-        threads: usize,
-        randomize: bool,
-    ) -> PauliFrames {
         assert!(shots > 0, "at least one shot required");
         let batches = shots.div_ceil(BATCH_SHOTS);
         let batch_shots = |b: usize| (shots - b * BATCH_SHOTS).min(BATCH_SHOTS);
         if batches == 1 {
-            return self.run_batch(shots, seed.derive_index(0), randomize);
+            return self.run_batch(shots, seed.derive_index(0));
         }
         let mut out = PauliFrames::new(self.n, shots);
         if threads <= 1 {
             for b in 0..batches {
-                let f = self.run_batch(batch_shots(b), seed.derive_index(b as u64), randomize);
+                let f = self.run_batch(batch_shots(b), seed.derive_index(b as u64));
                 out.splice_words(b * BATCH_WORDS, &f);
             }
             return out;
@@ -625,13 +596,7 @@ impl NoiseProgram {
                     let hi = (lo + chunk).min(batches);
                     scope.spawn(move |_| {
                         (lo..hi)
-                            .map(|b| {
-                                self.run_batch(
-                                    batch_shots(b),
-                                    seed.derive_index(b as u64),
-                                    randomize,
-                                )
-                            })
+                            .map(|b| self.run_batch(batch_shots(b), seed.derive_index(b as u64)))
                             .collect::<Vec<_>>()
                     })
                 })
@@ -649,13 +614,10 @@ impl NoiseProgram {
 
     /// Evaluates one batch: fresh samplers, fresh RNG, one circuit walk.
     ///
-    /// Site runs go through the [`BernoulliWords::hit_site_runs`]
-    /// hit-list path: it consumes the exact RNG draws the per-site
-    /// flip-mask path would (so results are bit-identical to the
-    /// pre-hit-list engine), but a run with no hits in the batch — the
-    /// overwhelmingly common case at NISQ rates — costs one division
-    /// instead of a mask fill and scan per site.
-    fn run_batch(&self, shots: usize, seed: SeedSequence, randomize: bool) -> PauliFrames {
+    /// Site runs go through [`BernoulliWords::hit_site_runs`], which hands
+    /// each site its hit list; a run with no hits in the batch — the
+    /// overwhelmingly common case at NISQ rates — costs one division.
+    fn run_batch(&self, shots: usize, seed: SeedSequence) -> PauliFrames {
         let mut rng = seed.rng();
         let mut samplers: Vec<BernoulliWords> = self
             .classes
@@ -663,9 +625,6 @@ impl NoiseProgram {
             .map(|&p| BernoulliWords::new(p))
             .collect();
         let mut frames = PauliFrames::new(self.n, shots);
-        if randomize {
-            frames.randomize_z(&mut rng);
-        }
         let mut hits: Vec<(u32, u64)> = Vec::with_capacity(BATCH_WORDS);
         for op in self.ops.iter() {
             let op = match *op {
@@ -844,7 +803,7 @@ mod tests {
     }
 
     #[test]
-    fn masked_letters_are_uniform_over_xyz() {
+    fn depolarizing_letters_are_uniform_over_xyz() {
         // p = 1 exercises the word-parallel rejection draw; the three
         // letters must come out balanced.
         let mut c = Circuit::new(1);

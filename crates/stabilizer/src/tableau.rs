@@ -533,28 +533,6 @@ impl Tableau {
     }
 }
 
-/// Samples `shots` full computational-basis measurement outcomes of the
-/// tableau state (each shot measures a fresh copy — measurement collapses).
-/// Returns bitstrings with qubit `q` at bit `q`.
-pub fn sample_counts<R: Rng + ?Sized>(t: &Tableau, shots: usize, rng: &mut R) -> Vec<u64> {
-    assert!(
-        t.num_qubits() <= 64,
-        "bitstring sampling limited to 64 qubits"
-    );
-    (0..shots)
-        .map(|_| {
-            let mut copy = t.clone();
-            let mut b = 0u64;
-            for q in 0..t.num_qubits() {
-                if copy.measure(q, rng) {
-                    b |= 1 << q;
-                }
-            }
-            b
-        })
-        .collect()
-}
-
 pub(crate) fn quarter_turns(v: f64, gate: &Gate) -> u8 {
     let k = (v / FRAC_PI_2).round();
     assert!(
@@ -817,20 +795,6 @@ mod tests {
         let mut t2 = Tableau::new(1);
         t2.apply_gate(&Gate::Rx(0, Angle::Value(3.0 * FRAC_PI_2)));
         assert_eq!(t2.expectation(&pauli("Y")), 1.0);
-    }
-
-    #[test]
-    fn sample_counts_from_ghz() {
-        let mut rng = StdRng::seed_from_u64(21);
-        let mut t = Tableau::new(3);
-        t.h(0);
-        t.cx(0, 1);
-        t.cx(1, 2);
-        let samples = sample_counts(&t, 200, &mut rng);
-        // Only all-zeros and all-ones appear, in roughly equal measure.
-        assert!(samples.iter().all(|&b| b == 0 || b == 0b111));
-        let ones = samples.iter().filter(|&&b| b == 0b111).count();
-        assert!(ones > 60 && ones < 140, "{ones}");
     }
 
     #[test]

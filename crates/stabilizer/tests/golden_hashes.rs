@@ -1,8 +1,8 @@
-//! Golden-hash pin for the `wide-words` feature: the lane-chunked word
-//! kernels must produce byte-for-byte the same tableaus and frames as
-//! the scalar walk. The hashes below were recorded with the feature
-//! *off*; CI re-runs this suite with `--features wide-words`, so any
-//! divergence introduced by the chunked traversal fails loudly.
+//! Bit-identity pin of the tableau walk and the frame engine: a
+//! fixed 37-qubit Clifford circuit, its expectations and its noisy
+//! frames hash to recorded constants. Any change to a word kernel, a
+//! frame kernel, the site layout or the sampling RNG stream moves a hash
+//! and fails here.
 //!
 //! If a deliberate engine change moves the stream (it must be called
 //! out against the recorded sweep baselines!), regenerate the constants
@@ -54,7 +54,7 @@ fn tableau_walk_hash_is_pinned() {
     // Hash every ⟨Z_q Z_{q+1}⟩ and ⟨X_q⟩ (sign and determinacy) of the
     // evolved state: any divergence in the H/S/CX/CZ/SWAP word kernels
     // shows up here.
-    let n = 37; // odd, and rwords = 2: exercises the chunk remainder
+    let n = 37; // odd, and rwords = 2: more than one word per column
     let c = test_circuit(n);
     let mut t = Tableau::new(n);
     t.run(&c);
@@ -95,7 +95,7 @@ fn frame_engine_hash_is_pinned() {
     assert_eq!(h, GOLDEN_FRAMES, "frame hash {h:#018x}");
 }
 
-/// Recorded with `wide-words` off; must also hold with it on.
+/// Hash of the tableau expectations in `tableau_walk_hash_is_pinned`.
 const GOLDEN_TABLEAU: u64 = 0x89e7_ece7_b4dd_28bf;
-/// Recorded with `wide-words` off; must also hold with it on.
+/// Hash of the frames in `frame_engine_hash_is_pinned`.
 const GOLDEN_FRAMES: u64 = 0x86af_423e_2772_afb6;

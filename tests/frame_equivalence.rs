@@ -2,18 +2,18 @@
 //! tableau reference path.
 //!
 //! `estimate_energy` (one noiseless tableau + Pauli frames, 64 shots per
-//! word) and `estimate_energy_tableau` (one full noisy tableau per shot)
-//! implement the *same statistical model* with different RNG streams:
-//! noiseless they must agree exactly, noisy they must agree in
+//! word) and `reference::estimate_energy_tableau` (one full noisy tableau
+//! per shot) implement the *same statistical model* with different RNG
+//! streams: noiseless they must agree exactly, noisy they must agree in
 //! distribution (means within standard errors over matched budgets).
 
 use eftq_circuit::Circuit;
 use eftq_numerics::SeedSequence;
 use eftq_pauli::{Pauli, PauliString, PauliSum};
 use eftq_stabilizer::noise::TwirledIdle;
+use eftq_stabilizer::reference::{estimate_energy_tableau, run_noisy_frames_percall};
 use eftq_stabilizer::{
-    estimate_energy, estimate_energy_tableau, estimate_energy_threaded, run_noisy_frames,
-    run_noisy_frames_percall, StabilizerNoise,
+    estimate_energy, estimate_energy_threaded, run_noisy_frames, StabilizerNoise,
 };
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};

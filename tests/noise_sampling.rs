@@ -1,6 +1,6 @@
 //! Statistical equivalence of the batched Bernoulli sampler with the
-//! per-call `gen_bool` reference, and thread-count invariance of the
-//! compiled noise programs.
+//! per-call `gen_bool` reference (`eftq_stabilizer::reference`), and
+//! thread-count invariance of the compiled noise programs.
 //!
 //! The batched engine ([`BernoulliWords`] + [`NoiseProgram`]) must be a
 //! drop-in statistical replacement for drawing one `rng.gen_bool(p)` per
@@ -12,10 +12,9 @@
 use eftq_circuit::Circuit;
 use eftq_numerics::{BernoulliWords, SeedSequence};
 use eftq_pauli::PauliSum;
+use eftq_stabilizer::reference::run_noisy_frames_percall;
 use eftq_stabilizer::{
-    estimate_energy, estimate_energy_program, estimate_energy_threaded, run_noisy_frames,
-    run_noisy_frames_percall, sample_energy_grouped, GroupedObservable, NoiseProgram, PauliFrames,
-    StabilizerNoise,
+    estimate_energy, estimate_energy_threaded, run_noisy_frames, NoiseProgram, StabilizerNoise,
 };
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -66,16 +65,20 @@ fn batched_rate_matches_gen_bool_reference() {
     }
 }
 
-/// The word-parallel rejection draw behind the masked 2q injector must
-/// leave the 15 non-identity two-qubit Paulis uniform, matching the
-/// per-call `gen_range(1..16)` reference draw.
+/// The word-parallel rejection draw that the compiled program's
+/// two-qubit injector runs under each hit lane mask must leave the 15
+/// non-identity two-qubit Paulis uniform, matching the per-call
+/// `gen_range(1..16)` reference draw. One CX at `depol_2q = 1` hits
+/// every shot, and its kernel runs before its site, so every frame is
+/// exactly the injected pair.
 #[test]
 fn masked_2q_letters_are_uniform_over_fifteen_pairs() {
     let shots = 64_000;
-    let mut frames = PauliFrames::new(2, shots);
-    let mask = vec![!0u64; shots / 64];
-    let mut rng = StdRng::seed_from_u64(9);
-    frames.inject_depolarizing_2q_masked(0, 1, &mask, &mut rng);
+    let mut c = Circuit::new(2);
+    c.cx(0, 1);
+    let mut noise = StabilizerNoise::noiseless();
+    noise.depol_2q = 1.0;
+    let frames = NoiseProgram::compile(&c, &noise).run(shots, SeedSequence::new(9));
     let mut counts = [0usize; 16];
     for s in 0..shots {
         let f = frames.frame(s);
@@ -201,99 +204,4 @@ fn sparse_path_energy_matches_percall_model() {
         "batched {} vs percall {percall_energy}",
         batched.energy
     );
-}
-
-/// The group-level shot sampler applies readout error physically (bit
-/// flips on shared outcome words) where the damping estimator folds it
-/// into per-term `(1-2p)^w` factors — different mechanisms, same
-/// expectation value. Both estimators run over the same compiled
-/// program and must agree within a 5σ band of their combined standard
-/// errors, on a Hamiltonian whose terms span dense (collapse) and
-/// sparse (direct) groups.
-#[test]
-fn grouped_sampling_matches_damping_estimator() {
-    let n = 6;
-    let c = ghz_chain(n);
-    let mut h = PauliSum::new(n);
-    // TFIM-style Z/X groups plus a dense Y-basis group.
-    for q in 0..n - 1 {
-        let mut s = vec!['I'; n];
-        s[q] = 'Z';
-        s[q + 1] = 'Z';
-        h.push_str(-1.0, &s.iter().collect::<String>());
-    }
-    for q in 0..n {
-        let mut s = vec!['I'; n];
-        s[q] = 'X';
-        h.push_str(-0.5, &s.iter().collect::<String>());
-    }
-    h.push_str(0.25, &"Y".repeat(n));
-    let noise = nisq_like();
-    let program = NoiseProgram::compile(&c, &noise);
-    let grouped = GroupedObservable::compile(&h);
-    let shots = 30_000;
-    let damped = estimate_energy_program(
-        &c,
-        &h,
-        &program,
-        noise.meas_flip,
-        shots,
-        SeedSequence::new(41),
-        1,
-    );
-    let sampled = sample_energy_grouped(
-        &c,
-        &grouped,
-        &program,
-        noise.meas_flip,
-        shots,
-        SeedSequence::new(42),
-        1,
-    );
-    let sigma = (damped.std_error.powi(2) + sampled.std_error.powi(2))
-        .sqrt()
-        .max(1e-4);
-    assert!(
-        (damped.energy - sampled.energy).abs() < 5.0 * sigma,
-        "damped {} ± {} vs sampled {} ± {}",
-        damped.energy,
-        damped.std_error,
-        sampled.energy,
-        sampled.std_error
-    );
-}
-
-/// `sample_energy_grouped` must be deterministic in its seed and
-/// invisible to thread count, like every other estimator in the crate.
-#[test]
-fn grouped_sampling_is_seed_deterministic_and_thread_invariant() {
-    let n = 5;
-    let c = ghz_chain(n);
-    let mut h = PauliSum::new(n);
-    h.push_str(1.0, "ZZZZZ");
-    h.push_str(-0.5, "XXXXX");
-    h.push_str(0.25, "ZIIIZ");
-    let noise = nisq_like();
-    let program = NoiseProgram::compile(&c, &noise);
-    let grouped = GroupedObservable::compile(&h);
-    let seed = SeedSequence::new(7);
-    let base = sample_energy_grouped(&c, &grouped, &program, noise.meas_flip, 900, seed, 1);
-    for threads in [2usize, 8] {
-        let t = sample_energy_grouped(&c, &grouped, &program, noise.meas_flip, 900, seed, threads);
-        assert_eq!(base, t, "threads {threads}");
-    }
-    let reseeded = sample_energy_grouped(
-        &c,
-        &grouped,
-        &program,
-        noise.meas_flip,
-        900,
-        SeedSequence::new(8),
-        1,
-    );
-    assert_ne!(
-        base, reseeded,
-        "different seeds must give different shot noise"
-    );
-    assert!(base.energy.is_finite() && base.std_error >= 0.0);
 }

@@ -344,6 +344,88 @@ fn health_answers_while_the_accept_queue_is_full() {
     handle.drain();
 }
 
+/// A client that drips its request one byte per 100 ms cannot hold the
+/// only parser past the request deadline (250 ms by default): it gets a
+/// 400 long before its 3 s drip ends, and a `/healthz` sent 300 ms after
+/// it is answered within 1 s. A per-read socket timeout alone would let
+/// the drip hold the parser for the whole 3 s.
+#[test]
+fn dripping_client_is_cut_off_at_the_request_deadline() {
+    let cfg = ServerConfig {
+        parsers: 1,
+        ..ServerConfig::default()
+    };
+    let deadline = cfg.deadline;
+    let handle = serve(advisor_index(), cfg).unwrap();
+    let addr = handle.addr();
+
+    const DRIP_BYTES: usize = 30;
+    const DRIP_EVERY: Duration = Duration::from_millis(100);
+    let (dripping_tx, dripping_rx) = std::sync::mpsc::channel();
+    let start = Instant::now();
+    let drip = std::thread::spawn(move || {
+        // Longer than the drip: the request never completes on its own.
+        let wire = format!("GET /healthz?pad={} HTTP/1.1\r\n\r\n", "p".repeat(64));
+        let mut stream = TcpStream::connect_timeout(&addr, Duration::from_secs(10)).unwrap();
+        stream.set_read_timeout(Some(DRIP_EVERY)).unwrap();
+        let mut reply = Vec::new();
+        let mut buf = [0u8; 1024];
+        for (i, &byte) in wire.as_bytes()[..DRIP_BYTES].iter().enumerate() {
+            if stream.write_all(&[byte]).is_err() {
+                break;
+            }
+            if i == 0 {
+                // Connected and sending: the probe now queues behind us.
+                dripping_tx.send(()).unwrap();
+            }
+            // Waiting for a reply paces the drip.
+            match stream.read(&mut buf) {
+                Ok(k) if k > 0 => {
+                    reply.extend_from_slice(&buf[..k]);
+                    break;
+                }
+                _ => {}
+            }
+        }
+        stream
+            .set_read_timeout(Some(Duration::from_secs(10)))
+            .unwrap();
+        let _ = stream.read_to_end(&mut reply);
+        (
+            String::from_utf8_lossy(&reply).into_owned(),
+            start.elapsed(),
+        )
+    });
+
+    dripping_rx.recv().unwrap();
+    std::thread::sleep(Duration::from_millis(300));
+    let probe = Instant::now();
+    let (status, body) = raw_get(addr, "/healthz").unwrap();
+    let probe_took = probe.elapsed();
+    assert_eq!(status, 200, "healthz behind a dripping client: {body}");
+    assert!(
+        probe_took < Duration::from_secs(1),
+        "healthz waited {probe_took:?} behind a dripping client"
+    );
+
+    let (reply, answered_after) = drip.join().unwrap();
+    assert!(reply.starts_with("HTTP/1.1 400"), "{reply}");
+    assert!(reply.contains("bad_request"), "{reply}");
+    assert!(
+        answered_after < DRIP_EVERY * DRIP_BYTES as u32 / 2,
+        "dripping client answered after {answered_after:?} (deadline {deadline:?})"
+    );
+    assert!(
+        handle
+            .stats()
+            .rejected
+            .load(std::sync::atomic::Ordering::SeqCst)
+            >= 1,
+        "the cut-off request counts as rejected"
+    );
+    handle.drain();
+}
+
 /// Parses a Prometheus text exposition body into `series → value`,
 /// panicking on any line that is not a `#` comment or a well-formed
 /// `name value` sample. (`/metrics` bodies are text, not JSONL, so
