@@ -3,11 +3,12 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use eft_vqa::fidelity::{conventional_fidelity_best_factory, pqec_fidelity, Workload};
-use eft_vqa::sweeps::{fig4_rows, fig5_grid, fig6_rows};
+use eft_vqa::sweeps::{Fig4Driver, Fig5Driver, Fig6Driver};
 use eftq_circuit::AnsatzKind;
 use eftq_layout::layouts::LayoutKind;
 use eftq_layout::schedule::spacetime_ratio;
 use eftq_qec::DeviceModel;
+use eftq_sweep::{SweepPoint, SweepSpec};
 
 fn bench_fidelity_models(c: &mut Criterion) {
     let device = DeviceModel::eft_default();
@@ -20,15 +21,36 @@ fn bench_fidelity_models(c: &mut Criterion) {
     });
 }
 
+/// The points of a two-axis grid, in row-major order.
+fn grid(tag: &str, outer: (&str, &[i64]), inner: (&str, &[i64])) -> Vec<SweepPoint> {
+    SweepSpec::new(tag)
+        .axis_ints(outer.0, outer.1.iter().copied())
+        .axis_ints(inner.0, inner.1.iter().copied())
+        .points()
+}
+
 fn bench_figure_drivers(c: &mut Criterion) {
     let mut group = c.benchmark_group("figure_drivers");
     group.sample_size(10);
-    group.bench_function("fig4_rows", |b| b.iter(fig4_rows));
-    group.bench_function("fig5_grid_small", |b| {
-        b.iter(|| fig5_grid(&[10_000, 30_000, 60_000], &[12, 24, 40]));
+    let fig4 = Fig4Driver::spec().points();
+    group.bench_function("fig4_rows", |b| {
+        b.iter(|| fig4.iter().map(Fig4Driver::eval).collect::<Vec<_>>());
     });
+    let fig5 = grid(
+        "fig05",
+        ("device_qubits", &[10_000, 30_000, 60_000]),
+        ("logical_qubits", &[12, 24, 40]),
+    );
+    group.bench_function("fig5_grid_small", |b| {
+        b.iter(|| fig5.iter().map(Fig5Driver::eval).collect::<Vec<_>>());
+    });
+    let fig6 = grid(
+        "fig06",
+        ("device_qubits", &[10_000, 20_000]),
+        ("logical_qubits", &[12, 24, 40, 60]),
+    );
     group.bench_function("fig6_rows", |b| {
-        b.iter(|| fig6_rows(&[10_000, 20_000], &[12, 24, 40, 60]));
+        b.iter(|| fig6.iter().map(Fig6Driver::eval).collect::<Vec<_>>());
     });
     group.finish();
 }

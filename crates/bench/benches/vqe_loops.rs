@@ -24,8 +24,9 @@ fn bench_energy_evaluations(c: &mut Criterion) {
         ExecutionRegime::nisq_default(),
         ExecutionRegime::pqec_default(),
     ] {
+        let noise = regime.noise_model();
         group.bench_function(format!("dm_energy_6q_{}", regime.name()), |b| {
-            b.iter(|| noisy_energy(&ansatz, &params, &regime, &h, false));
+            b.iter(|| noisy_energy(&ansatz, &params, &noise, &h, false));
         });
     }
     group.finish();

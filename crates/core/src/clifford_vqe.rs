@@ -6,9 +6,8 @@
 //! Monte-Carlo average of stabilizer expectations under the regime's Pauli
 //! noise. The reference energy `E₀` for γ at 16+ qubits is the lowest
 //! *noiseless* stabilizer energy found, exactly as the paper does
-//! (Section 5.3.1).
+//! (Section 5.3.1): [`clifford_vqe`] under [`StabilizerNoise::noiseless`].
 
-use crate::regimes::ExecutionRegime;
 use eftq_circuit::Ansatz;
 use eftq_numerics::SeedSequence;
 use eftq_optim::genetic::{minimize_genetic, GeneticConfig};
@@ -135,36 +134,15 @@ pub fn clifford_vqe_with_template(
     }
 }
 
-/// Runs the Clifford VQE under an execution regime's noise.
-pub fn clifford_vqe_in_regime(
-    ansatz: &Ansatz,
-    observable: &PauliSum,
-    regime: &ExecutionRegime,
-    config: &CliffordVqeConfig,
-) -> CliffordVqeOutcome {
-    clifford_vqe(ansatz, observable, &regime.stabilizer_noise(), config)
-}
-
-/// The lowest *noiseless* Clifford (stabilizer-state) energy found by the
-/// genetic search — the paper's `E₀` proxy for 16+ qubit systems
-/// (Section 5.3.1).
-pub fn noiseless_reference_energy(
-    ansatz: &Ansatz,
-    observable: &PauliSum,
-    config: &CliffordVqeConfig,
-) -> f64 {
-    clifford_vqe(ansatz, observable, &StabilizerNoise::noiseless(), config).best_energy
-}
-
 /// Unbiased noisy energy of one genome with an independent, larger shot
 /// budget. Use this to re-evaluate a GA winner: the search itself sees
 /// few-shot estimates and exploits their sampling noise, so the winning
 /// *estimate* is optimistically biased — re-evaluation removes the bias.
 ///
-/// Re-evaluation is a single large estimate, so — unlike the search,
-/// where the GA parallelizes across genomes — the shot batches themselves
-/// shard across `threads` workers (pass the GA's `threads` knob). The
-/// result is bit-identical for every `threads` value.
+/// Re-evaluation is a single large estimate, so its 256-shot batches
+/// shard across `threads` workers; a budget of one batch or less runs on
+/// the calling thread. The result is bit-identical for every `threads`
+/// value.
 pub fn reevaluate_genome(
     ansatz: &Ansatz,
     observable: &PauliSum,
@@ -203,6 +181,7 @@ pub fn genome_energy(ansatz: &Ansatz, observable: &PauliSum, genome: &[u8]) -> f
 mod tests {
     use super::*;
     use crate::hamiltonians;
+    use crate::regimes::ExecutionRegime;
     use eftq_circuit::ansatz::{blocked_all_to_all, fully_connected_hea, linear_hea};
 
     fn quick() -> CliffordVqeConfig {
@@ -226,7 +205,7 @@ mod tests {
         // state with energy close to the true ground energy.
         let h = hamiltonians::ising_1d(6, 0.25);
         let a = linear_hea(6, 1);
-        let e_ref = noiseless_reference_energy(&a, &h, &quick());
+        let e_ref = clifford_vqe(&a, &h, &StabilizerNoise::noiseless(), &quick()).best_energy;
         let e0 = h.ground_energy_default().unwrap();
         // Clifford states reach most of the gap for weakly coupled Ising.
         assert!(e_ref < -(0.8 * e0.abs()) + 0.0, "{e_ref} vs {e0}");
@@ -244,11 +223,9 @@ mod tests {
         let a = linear_hea(6, 1);
         let noise = ExecutionRegime::nisq_default().stabilizer_noise();
         let nisq = clifford_vqe(&a, &h, &noise, &quick());
-        let floor = noiseless_reference_energy(&a, &h, &quick()).min(genome_energy(
-            &a,
-            &h,
-            &nisq.best_genome,
-        ));
+        let floor = clifford_vqe(&a, &h, &StabilizerNoise::noiseless(), &quick())
+            .best_energy
+            .min(genome_energy(&a, &h, &nisq.best_genome));
         let honest = reevaluate_genome(&a, &h, &noise, &nisq.best_genome, 512, 23, 2);
         assert!(honest >= floor - 0.2, "{honest} vs {floor}");
     }
@@ -262,8 +239,10 @@ mod tests {
         let h = hamiltonians::heisenberg_1d(8, 1.0);
         let a = fully_connected_hea(8, 1);
         let cfg = quick();
-        let pqec = clifford_vqe_in_regime(&a, &h, &ExecutionRegime::pqec_default(), &cfg);
-        let nisq = clifford_vqe_in_regime(&a, &h, &ExecutionRegime::nisq_default(), &cfg);
+        let pqec_noise = ExecutionRegime::pqec_default().stabilizer_noise();
+        let nisq_noise = ExecutionRegime::nisq_default().stabilizer_noise();
+        let pqec = clifford_vqe(&a, &h, &pqec_noise, &cfg);
+        let nisq = clifford_vqe(&a, &h, &nisq_noise, &cfg);
         let best = if genome_energy(&a, &h, &pqec.best_genome)
             <= genome_energy(&a, &h, &nisq.best_genome)
         {
@@ -271,24 +250,8 @@ mod tests {
         } else {
             nisq.best_genome
         };
-        let e_pqec = reevaluate_genome(
-            &a,
-            &h,
-            &ExecutionRegime::pqec_default().stabilizer_noise(),
-            &best,
-            512,
-            19,
-            1,
-        );
-        let e_nisq = reevaluate_genome(
-            &a,
-            &h,
-            &ExecutionRegime::nisq_default().stabilizer_noise(),
-            &best,
-            512,
-            19,
-            1,
-        );
+        let e_pqec = reevaluate_genome(&a, &h, &pqec_noise, &best, 512, 19, 1);
+        let e_nisq = reevaluate_genome(&a, &h, &nisq_noise, &best, 512, 19, 1);
         assert!(e_pqec < e_nisq, "pQEC {e_pqec} vs NISQ {e_nisq}");
     }
 
@@ -296,7 +259,8 @@ mod tests {
     fn blocked_ansatz_runs_in_clifford_mode() {
         let h = hamiltonians::ising_1d(8, 1.0);
         let a = blocked_all_to_all(8, 1);
-        let out = clifford_vqe_in_regime(&a, &h, &ExecutionRegime::pqec_default(), &quick());
+        let noise = ExecutionRegime::pqec_default().stabilizer_noise();
+        let out = clifford_vqe(&a, &h, &noise, &quick());
         assert!(out.best_energy.is_finite());
         assert_eq!(out.best_genome.len(), a.num_params());
     }
@@ -305,12 +269,7 @@ mod tests {
     fn genome_energy_matches_outcome() {
         let h = hamiltonians::ising_1d(4, 0.5);
         let a = linear_hea(4, 1);
-        let out = clifford_vqe(
-            &a,
-            &h,
-            &eftq_stabilizer::StabilizerNoise::noiseless(),
-            &quick(),
-        );
+        let out = clifford_vqe(&a, &h, &StabilizerNoise::noiseless(), &quick());
         let direct = genome_energy(&a, &h, &out.best_genome);
         assert!((out.best_energy - direct).abs() < 1e-12);
     }
@@ -388,8 +347,9 @@ mod tests {
     fn deterministic_given_seed() {
         let h = hamiltonians::ising_1d(4, 1.0);
         let a = linear_hea(4, 1);
-        let x = clifford_vqe_in_regime(&a, &h, &ExecutionRegime::nisq_default(), &quick());
-        let y = clifford_vqe_in_regime(&a, &h, &ExecutionRegime::nisq_default(), &quick());
+        let noise = ExecutionRegime::nisq_default().stabilizer_noise();
+        let x = clifford_vqe(&a, &h, &noise, &quick());
+        let y = clifford_vqe(&a, &h, &noise, &quick());
         assert_eq!(x.best_energy, y.best_energy);
         assert_eq!(x.best_genome, y.best_genome);
     }

@@ -85,8 +85,8 @@ pub use regimes::ExecutionRegime;
 /// ```
 pub mod prelude {
     pub use crate::clifford_vqe::{
-        clifford_vqe, clifford_vqe_in_regime, clifford_vqe_with_template, reevaluate_genome,
-        CliffordVqeConfig, CliffordVqeOutcome,
+        clifford_vqe, clifford_vqe_with_template, reevaluate_genome, CliffordVqeConfig,
+        CliffordVqeOutcome,
     };
     pub use crate::hamiltonians::{
         heisenberg_1d, ising_1d, molecular, Molecule, BOND_LENGTHS, COUPLINGS,

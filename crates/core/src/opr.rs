@@ -10,7 +10,7 @@
 //! random-parameter baseline.
 
 use crate::regimes::ExecutionRegime;
-use crate::vqe::{noisy_energy, run_vqe, VqeConfig};
+use crate::vqe::{run_vqe, VqeConfig};
 use eftq_circuit::Ansatz;
 use eftq_numerics::SeedSequence;
 use eftq_pauli::PauliSum;
@@ -84,7 +84,6 @@ pub fn parameter_transfer(
     let ground = observable
         .ground_energy_default()
         .expect("Lanczos on small observables");
-    let _ = noisy_energy; // re-exported path used by docs
     OprReport {
         noisy_optimum: outcome.best_energy,
         transferred,

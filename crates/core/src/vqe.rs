@@ -12,7 +12,7 @@ use eftq_circuit::Ansatz;
 use eftq_numerics::SeedSequence;
 use eftq_optim::{CoordinateSearch, NelderMead, OptimResult, Optimizer, Spsa};
 use eftq_pauli::PauliSum;
-use eftq_statesim::noise::run_noisy;
+use eftq_statesim::noise::{run_noisy, NoiseModel};
 use rand::Rng;
 
 /// Which classical optimizer drives the loop.
@@ -67,26 +67,30 @@ pub struct VqeOutcome {
     pub evaluations: usize,
 }
 
-/// Evaluates the regime-noisy energy of one parameter vector.
+/// Evaluates the noisy energy of one parameter vector: the one
+/// density-matrix energy behind both the VQE objective ([`run_vqe`], with
+/// [`ExecutionRegime::noise_model`]) and zero-noise extrapolation
+/// ([`crate::zne::energy_at_scale`], with a scaled model).
 ///
-/// The bound circuit runs through the regime's density-matrix noise model;
-/// the energy is then estimated under the regime's readout error, with or
-/// without VarSaw mitigation.
+/// The bound circuit runs through `noise`'s density-matrix channels; the
+/// energy is then estimated under its readout error, with or without
+/// VarSaw mitigation.
 pub fn noisy_energy(
     ansatz: &Ansatz,
     params: &[f64],
-    regime: &ExecutionRegime,
+    noise: &NoiseModel,
     observable: &PauliSum,
     mitigate: bool,
 ) -> f64 {
     let circuit = ansatz.bind(params);
-    let mut noise = regime.noise_model();
     // Readout error is handled analytically at estimation time (the
     // measured_energy damping), not as a channel.
-    let meas_flip = noise.meas_flip;
-    noise.meas_flip = 0.0;
-    let (rho, _) = run_noisy(&circuit, &noise);
-    measured_energy(&rho, observable, meas_flip.min(0.49), mitigate)
+    let channels = NoiseModel {
+        meas_flip: 0.0,
+        ..noise.clone()
+    };
+    let (rho, _) = run_noisy(&circuit, &channels);
+    measured_energy(&rho, observable, noise.meas_flip.min(0.49), mitigate)
 }
 
 /// Runs VQE under an execution regime.
@@ -109,6 +113,7 @@ pub fn run_vqe(
     assert!(config.restarts >= 1, "need at least one restart");
     let seeds = SeedSequence::new(config.seed).derive("vqe");
     let num_params = ansatz.num_params();
+    let noise = regime.noise_model();
 
     let mut best: Option<(OptimResult, Vec<f64>)> = None;
     let mut total_evals = 0usize;
@@ -121,7 +126,7 @@ pub fn run_vqe(
             noisy_energy(
                 ansatz,
                 params,
-                regime,
+                &noise,
                 observable,
                 config.mitigate_measurement,
             )

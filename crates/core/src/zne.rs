@@ -15,10 +15,10 @@
 //!   evaluates the fit at zero noise.
 
 use crate::regimes::ExecutionRegime;
-use crate::varsaw::measured_energy;
+use crate::vqe::noisy_energy;
 use eftq_circuit::Ansatz;
 use eftq_pauli::PauliSum;
-use eftq_statesim::noise::{run_noisy, NoiseModel};
+use eftq_statesim::noise::NoiseModel;
 use serde::{Deserialize, Serialize};
 
 /// Scales every channel strength of a noise model by `factor` (clamping
@@ -88,7 +88,9 @@ pub fn richardson_extrapolate(factors: &[f64], values: &[f64]) -> f64 {
 }
 
 /// Evaluates the regime-noisy energy of a bound parameter vector at one
-/// noise scale.
+/// noise scale: [`noisy_energy`] (unmitigated) under the regime's noise
+/// model scaled by [`scale_noise`]. At `factor = 1` this is the VQE
+/// objective itself.
 pub fn energy_at_scale(
     ansatz: &Ansatz,
     params: &[f64],
@@ -96,12 +98,13 @@ pub fn energy_at_scale(
     observable: &PauliSum,
     factor: f64,
 ) -> f64 {
-    let circuit = ansatz.bind(params);
-    let mut noise = scale_noise(&regime.noise_model(), factor);
-    let meas_flip = noise.meas_flip;
-    noise.meas_flip = 0.0;
-    let (rho, _) = run_noisy(&circuit, &noise);
-    measured_energy(&rho, observable, meas_flip.min(0.49), false)
+    noisy_energy(
+        ansatz,
+        params,
+        &scale_noise(&regime.noise_model(), factor),
+        observable,
+        false,
+    )
 }
 
 /// Zero-noise extrapolated energy at `params`, using the given scale
@@ -193,6 +196,26 @@ mod tests {
         let noisy = energy_at_scale(&ansatz, &params, &regime, &h, 1.0);
         let zne = zne_energy(&ansatz, &params, &regime, &h, &[1.0, 2.0]);
         assert!((zne.extrapolated - noiseless).abs() <= (noisy - noiseless).abs() + 1e-12);
+    }
+
+    #[test]
+    fn unscaled_energy_is_the_vqe_objective() {
+        // ZNE's factor-1 point must be exactly what `run_vqe` minimizes:
+        // scaling by 1 leaves NISQ's relaxation times and pQEC's logical
+        // rates untouched, bit for bit.
+        let h = ising_1d(4, 0.5);
+        let ansatz = fully_connected_hea(4, 1);
+        let params: Vec<f64> = (0..ansatz.num_params()).map(|i| 0.17 * i as f64).collect();
+        for regime in [
+            ExecutionRegime::nisq_default(),
+            ExecutionRegime::pqec_default(),
+        ] {
+            let noise = regime.noise_model();
+            assert_eq!(scale_noise(&noise, 1.0), noise, "{}", regime.name());
+            let zne = energy_at_scale(&ansatz, &params, &regime, &h, 1.0);
+            let vqe = noisy_energy(&ansatz, &params, &noise, &h, false);
+            assert_eq!(zne.to_bits(), vqe.to_bits(), "{}", regime.name());
+        }
     }
 
     #[test]

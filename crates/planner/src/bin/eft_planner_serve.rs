@@ -3,7 +3,6 @@
 //! ```text
 //! eft_planner_serve [--listen ADDR] [--baselines DIR] [--deadline-ms N]
 //!                   [--queue N] [--workers N] [--exact-budget-ms N]
-//!                   [--bench N]
 //! ```
 //!
 //! Loads the surrogate index (checked-in sweep baselines + the exact
@@ -13,19 +12,15 @@
 //! faults into exact-compute requests (`/plan?...&exact=1`), exactly as
 //! it does for sweep evaluations.
 //!
-//! `--bench N` skips serving: it times N surrogate planning queries
-//! against the loaded index and writes a `BENCH_planner_serve.json`
-//! artifact (p50/p99 in nanoseconds) under `$BENCH_JSON` (or the
-//! current directory). `bench_guard` compares it against
-//! `ci/bench-refs/planner/` — the repo's lookup-latency SLO.
+//! The surrogate `/plan` evaluation is timed by the `planner/plan_surrogate`
+//! bench in `crates/bench/benches/planner_lookup.rs`; perfbench's
+//! `planner_http` workload times the service end to end.
 //!
-//! Exit codes: 0 clean serve/drain or bench, 2 usage or startup
-//! failure.
+//! Exit codes: 0 clean serve and drain, 2 usage or startup failure.
 
 use std::path::PathBuf;
 use std::time::{Duration, Instant};
 
-use eftq_planner::index::{ADVISOR_METRICS, ADVISOR_SPEC};
 use eftq_planner::{
     install_sigterm_drain, serve, sigterm_drain_requested, ServerConfig, SurfaceIndex,
 };
@@ -35,7 +30,7 @@ use eftq_sweep::FaultPlan;
 fn usage() -> ! {
     eprintln!(
         "usage: eft_planner_serve [--listen ADDR] [--baselines DIR] [--deadline-ms N]\n\
-         \x20                        [--queue N] [--workers N] [--exact-budget-ms N] [--bench N]"
+         \x20                        [--queue N] [--workers N] [--exact-budget-ms N]"
     );
     std::process::exit(2);
 }
@@ -46,7 +41,6 @@ fn main() {
         ..ServerConfig::default()
     };
     let mut baselines = PathBuf::from("ci/baselines");
-    let mut bench: Option<usize> = None;
 
     let mut args = std::env::args().skip(1);
     while let Some(flag) = args.next() {
@@ -65,7 +59,6 @@ fn main() {
             "--exact-budget-ms" => {
                 cfg.exact_budget = Duration::from_millis(parse(&value("--exact-budget-ms")));
             }
-            "--bench" => bench = Some(parse(&value("--bench")) as usize),
             "--help" | "-h" => usage(),
             other => {
                 eprintln!("unknown flag {other}");
@@ -105,11 +98,6 @@ fn main() {
         t_load.elapsed()
     );
 
-    if let Some(queries) = bench {
-        run_bench(&index, queries);
-        return;
-    }
-
     install_sigterm_drain();
     let handle = match serve(index, cfg) {
         Ok(h) => h,
@@ -136,59 +124,4 @@ fn parse(s: &str) -> u64 {
         eprintln!("expected a non-negative integer, got '{s}'");
         usage()
     })
-}
-
-/// Times `queries` surrogate advisor lookups (the full four-metric
-/// `/plan` evaluation) and writes the p50/p99 BENCH artifact.
-fn run_bench(index: &SurfaceIndex, queries: usize) {
-    let queries = queries.max(100);
-    let surfaces: Vec<_> = ADVISOR_METRICS
-        .iter()
-        .map(|m| {
-            index
-                .get(&format!("{ADVISOR_SPEC}/{m}"))
-                .and_then(|f| f.surface(&[]))
-                .unwrap_or_else(|| {
-                    eprintln!("[planner] bench: advisor surface {m} missing");
-                    std::process::exit(2);
-                })
-        })
-        .collect();
-
-    let mut samples_ns = Vec::with_capacity(queries);
-    let mut checksum = 0.0f64;
-    for i in 0..queries {
-        // Scan the grid interior deterministically (off-lattice points,
-        // so every lookup pays the full interpolation).
-        let dq = 5_000.0 + (i % 997) as f64 * 55_000.0 / 997.0;
-        let n = 8.0 + (i % 599) as f64 * 56.0 / 599.0;
-        let t0 = Instant::now();
-        let mut best = f64::NEG_INFINITY;
-        for s in &surfaces {
-            let hit = s.eval(&[dq, n]);
-            if hit.value > best {
-                best = hit.value;
-            }
-        }
-        samples_ns.push(t0.elapsed().as_nanos() as u64);
-        checksum += best;
-    }
-    samples_ns.sort_unstable();
-    let pct = |p: f64| samples_ns[((samples_ns.len() - 1) as f64 * p) as usize];
-    let (p50, p99) = (pct(0.50), pct(0.99));
-    eprintln!(
-        "[planner] bench: {queries} plan lookups, p50 {p50} ns, p99 {p99} ns (checksum {checksum:.3})"
-    );
-
-    let dir = std::env::var("BENCH_JSON").map_or_else(|_| PathBuf::from("."), PathBuf::from);
-    let path = dir.join("BENCH_planner_serve.json");
-    let body = format!(
-        "[\n  {{\"id\": \"planner_serve/plan_surrogate_p50\", \"ns\": {p50}}},\n  \
-         {{\"id\": \"planner_serve/plan_surrogate_p99\", \"ns\": {p99}}}\n]\n"
-    );
-    if let Err(e) = std::fs::write(&path, body) {
-        eprintln!("[planner] bench: cannot write {}: {e}", path.display());
-        std::process::exit(2);
-    }
-    eprintln!("[planner] bench artifact: {}", path.display());
 }

@@ -15,10 +15,11 @@
 //! * [`server`] — the `eft_planner_serve` query server: per-request
 //!   wall-clock deadlines, a bounded admission queue that sheds load
 //!   with structured 429 rows, a degradation ladder for exact
-//!   recomputation (deadline gate → [`breaker`] → `catch_unwind` →
-//!   surrogate fallback with `degraded: 1`), `/healthz`–`/readyz`, a
-//!   Prometheus `/metrics` endpoint (built on `eftq_obs`), and a
-//!   SIGTERM drain that answers every admitted request before exit.
+//!   recomputation (input bound → deadline gate → [`breaker`] →
+//!   `catch_unwind` → surrogate fallback with `degraded: 1`),
+//!   `/healthz`–`/readyz`, a Prometheus `/metrics` endpoint (built on
+//!   `eftq_obs`), and a SIGTERM drain that answers every admitted
+//!   request before exit.
 //! * [`breaker`] — the consecutive-failure circuit breaker guarding
 //!   the exact path.
 //! * [`http`] — the minimal HTTP/1.1 request/response layer.

@@ -21,10 +21,11 @@
 //!    microseconds. A request older than its deadline is answered with
 //!    a structured 504 *without* evaluating. `/plan?exact=1` attempts
 //!    exact recomputation through an [`ArtifactCache`], guarded by the
-//!    remaining deadline, a [`CircuitBreaker`], `catch_unwind`, and the
-//!    chaos harness (`EFT_FAULT_PLAN` plants faults exactly like the
-//!    sweep runner); every exact failure degrades to the clamped
-//!    surrogate answer with `degraded: 1` and a `cause`, never an error.
+//!    input bound ([`EXACT_MAX_DEVICE_QUBITS`]), the remaining deadline,
+//!    a [`CircuitBreaker`], `catch_unwind`, and the chaos harness
+//!    (`EFT_FAULT_PLAN` plants faults exactly like the sweep runner);
+//!    every refusal or exact failure degrades to the clamped surrogate
+//!    answer with `degraded: 1` and a `cause`, never an error.
 //! 4. **Drain.** SIGTERM (or [`ServerHandle::shutdown`]) stops the
 //!    acceptor, lets every admitted request finish, then joins all
 //!    stages. In-flight work is completed, not dropped.
@@ -55,6 +56,16 @@ pub const ERROR_LABEL: &str = "~planner-error";
 
 /// Row label of health/readiness responses.
 pub const HEALTH_LABEL: &str = "~planner-health";
+
+/// Largest `device_qubits` that `/plan?exact=1` recomputes exactly.
+///
+/// The advisor's qec-conventional model scans every factory count the
+/// device fits, so its work grows linearly with the device: about 2 ms
+/// here, inside the default 50 ms exact budget. Nothing can interrupt a
+/// running computation, so a larger device (or a program with more
+/// logical than physical qubits) is answered from the surrogate with
+/// `cause: "out_of_range"` instead of occupying a worker indefinitely.
+pub const EXACT_MAX_DEVICE_QUBITS: i64 = 10_000_000;
 
 /// Process-global SIGTERM latch (see [`install_sigterm_drain`]).
 static SIGTERM_DRAIN: AtomicBool = AtomicBool::new(false);
@@ -483,8 +494,11 @@ impl Engine {
             );
         }
 
-        // Exact path: deadline check, then breaker, then guarded
-        // compute. Every refusal degrades to the surrogate answer.
+        // Exact path: input bound, deadline check, then breaker, then
+        // guarded compute. Every refusal degrades to the surrogate answer.
+        if n > dq || dq > EXACT_MAX_DEVICE_QUBITS {
+            return degrade("out_of_range");
+        }
         let elapsed = arrival.elapsed();
         if self.cfg.deadline.saturating_sub(elapsed) < self.cfg.exact_budget {
             return degrade("deadline");

@@ -13,13 +13,12 @@
 //! cargo run --release --example chemistry_dissociation
 //! ```
 
-use eft_vqa::clifford_vqe::{
-    clifford_vqe_in_regime, noiseless_reference_energy, CliffordVqeConfig,
-};
+use eft_vqa::clifford_vqe::{clifford_vqe, CliffordVqeConfig};
 use eft_vqa::hamiltonians::{molecular, Molecule, BOND_LENGTHS};
 use eft_vqa::{relative_improvement, ExecutionRegime};
 use eftq_circuit::ansatz::fully_connected_hea;
 use eftq_optim::GeneticConfig;
+use eftq_stabilizer::StabilizerNoise;
 
 fn main() {
     let molecule = Molecule::LiH;
@@ -45,15 +44,18 @@ fn main() {
         "{:>8} {:>12} {:>12} {:>12} {:>12} {:>8}",
         "bond/A", "E0 (exact)", "E0 (Cliff)", "E_pQEC", "E_NISQ", "gamma"
     );
+    let pqec_noise = ExecutionRegime::pqec_default().stabilizer_noise();
+    let nisq_noise = ExecutionRegime::nisq_default().stabilizer_noise();
     for &bond in &BOND_LENGTHS {
         let h = molecular(molecule, bond);
         let ansatz = fully_connected_hea(h.num_qubits(), 1);
         // Exact reference via matrix-free Lanczos (12 qubits = 4096 dim).
         let e_exact = h.ground_energy_default().expect("Lanczos");
         // Clifford reference — what the paper uses at 16+ qubits.
-        let e_clifford = noiseless_reference_energy(&ansatz, &h, &config);
-        let pqec = clifford_vqe_in_regime(&ansatz, &h, &ExecutionRegime::pqec_default(), &config);
-        let nisq = clifford_vqe_in_regime(&ansatz, &h, &ExecutionRegime::nisq_default(), &config);
+        let e_clifford =
+            clifford_vqe(&ansatz, &h, &StabilizerNoise::noiseless(), &config).best_energy;
+        let pqec = clifford_vqe(&ansatz, &h, &pqec_noise, &config);
+        let nisq = clifford_vqe(&ansatz, &h, &nisq_noise, &config);
         let gamma = relative_improvement(e_clifford, pqec.best_energy, nisq.best_energy);
         println!(
             "{bond:>8.1} {e_exact:>12.4} {e_clifford:>12.4} {:>12.4} {:>12.4} {gamma:>7.2}x",

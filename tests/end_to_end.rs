@@ -1,15 +1,13 @@
 //! End-to-end regime comparisons: the pipelines behind Figures 12-15 run
 //! at test scale and must reproduce the paper's qualitative results.
 
-use eft_vqa::clifford_vqe::{
-    clifford_vqe_in_regime, genome_energy, noiseless_reference_energy, reevaluate_genome,
-    CliffordVqeConfig,
-};
+use eft_vqa::clifford_vqe::{clifford_vqe, genome_energy, reevaluate_genome, CliffordVqeConfig};
 use eft_vqa::hamiltonians::{heisenberg_1d, ising_1d, molecular, Molecule};
 use eft_vqa::vqe::{run_vqe, VqeConfig, VqeOptimizer};
 use eft_vqa::{relative_improvement, ExecutionRegime};
 use eftq_circuit::ansatz::{blocked_all_to_all, fully_connected_hea};
 use eftq_optim::GeneticConfig;
+use eftq_stabilizer::StabilizerNoise;
 
 fn quick_clifford() -> CliffordVqeConfig {
     // Large enough that both regimes' searches reliably reach near-optimal
@@ -60,30 +58,16 @@ fn clifford_vqe_gamma_above_one() {
     ] {
         let ansatz = fully_connected_hea(12, 1);
         let cfg = quick_clifford();
-        let e0 = noiseless_reference_energy(&ansatz, &h, &cfg);
-        let pqec = clifford_vqe_in_regime(&ansatz, &h, &ExecutionRegime::pqec_default(), &cfg);
-        let nisq = clifford_vqe_in_regime(&ansatz, &h, &ExecutionRegime::nisq_default(), &cfg);
+        let pqec_noise = ExecutionRegime::pqec_default().stabilizer_noise();
+        let nisq_noise = ExecutionRegime::nisq_default().stabilizer_noise();
+        let e0 = clifford_vqe(&ansatz, &h, &StabilizerNoise::noiseless(), &cfg).best_energy;
+        let pqec = clifford_vqe(&ansatz, &h, &pqec_noise, &cfg);
+        let nisq = clifford_vqe(&ansatz, &h, &nisq_noise, &cfg);
         // Re-evaluate both winners with an unbiased 128-shot estimate: the
         // few-shot search exploits sampling noise, which would otherwise
         // flatter the noisier regime.
-        let e_pqec = reevaluate_genome(
-            &ansatz,
-            &h,
-            &ExecutionRegime::pqec_default().stabilizer_noise(),
-            &pqec.best_genome,
-            128,
-            11,
-            2,
-        );
-        let e_nisq = reevaluate_genome(
-            &ansatz,
-            &h,
-            &ExecutionRegime::nisq_default().stabilizer_noise(),
-            &nisq.best_genome,
-            128,
-            11,
-            2,
-        );
+        let e_pqec = reevaluate_genome(&ansatz, &h, &pqec_noise, &pqec.best_genome, 128, 11, 2);
+        let e_nisq = reevaluate_genome(&ansatz, &h, &nisq_noise, &nisq.best_genome, 128, 11, 2);
         // E0 is "the lowest stabilizer state energy obtained in the
         // absence of noise" (Section 5.3.1) — across everything we saw.
         let e0 = e0
@@ -103,11 +87,11 @@ fn clifford_vqe_gamma_above_one() {
 fn ansatz_comparison_pipeline() {
     let h = ising_1d(16, 1.0);
     let cfg = quick_clifford();
-    let regime = ExecutionRegime::pqec_default();
+    let noise = ExecutionRegime::pqec_default().stabilizer_noise();
     let blocked = blocked_all_to_all(16, 1);
     let fche = fully_connected_hea(16, 1);
-    let eb = clifford_vqe_in_regime(&blocked, &h, &regime, &cfg);
-    let ef = clifford_vqe_in_regime(&fche, &h, &regime, &cfg);
+    let eb = clifford_vqe(&blocked, &h, &noise, &cfg);
+    let ef = clifford_vqe(&fche, &h, &noise, &cfg);
     assert!(eb.best_energy.is_finite() && ef.best_energy.is_finite());
     // Schedule claim (Section 6.2): blocked needs < half the FCHE cycles.
     use eftq_layout::layouts::LayoutModel;
@@ -182,12 +166,8 @@ fn chemistry_pipeline() {
     assert!(settings < h.num_terms() / 2, "{settings}");
     // A short Clifford VQE produces a finite upper bound on E0.
     let ansatz = fully_connected_hea(12, 1);
-    let out = clifford_vqe_in_regime(
-        &ansatz,
-        &h,
-        &ExecutionRegime::pqec_default(),
-        &quick_clifford(),
-    );
+    let noise = ExecutionRegime::pqec_default().stabilizer_noise();
+    let out = clifford_vqe(&ansatz, &h, &noise, &quick_clifford());
     assert!(out.best_energy >= e0 - 1.0);
 }
 

@@ -37,15 +37,26 @@ fn advisor_index() -> SurfaceIndex {
 /// One full HTTP exchange. `Err` only for transport failures — a
 /// well-behaved server never produces one.
 fn raw_get(addr: SocketAddr, target: &str) -> Result<(u16, String), String> {
-    raw_exchange(addr, &format!("GET {target} HTTP/1.1\r\nHost: t\r\n\r\n"))
+    raw_get_within(addr, target, Duration::from_secs(10))
 }
 
-fn raw_exchange(addr: SocketAddr, wire: &str) -> Result<(u16, String), String> {
-    let mut stream = TcpStream::connect_timeout(&addr, Duration::from_secs(10))
-        .map_err(|e| format!("connect: {e}"))?;
-    stream
-        .set_read_timeout(Some(Duration::from_secs(10)))
-        .unwrap();
+/// [`raw_get`] that fails when no response arrives within `timeout`.
+fn raw_get_within(
+    addr: SocketAddr,
+    target: &str,
+    timeout: Duration,
+) -> Result<(u16, String), String> {
+    raw_exchange(
+        addr,
+        &format!("GET {target} HTTP/1.1\r\nHost: t\r\n\r\n"),
+        timeout,
+    )
+}
+
+fn raw_exchange(addr: SocketAddr, wire: &str, timeout: Duration) -> Result<(u16, String), String> {
+    let mut stream =
+        TcpStream::connect_timeout(&addr, timeout).map_err(|e| format!("connect: {e}"))?;
+    stream.set_read_timeout(Some(timeout)).unwrap();
     stream
         .write_all(wire.as_bytes())
         .map_err(|e| format!("write: {e}"))?;
@@ -107,6 +118,7 @@ fn assert_clean(status: u16, body: &str, context: &str) {
                     assert!(
                         [
                             "extrapolated",
+                            "out_of_range",
                             "deadline",
                             "breaker_open",
                             "exact_failed",
@@ -179,7 +191,7 @@ fn soak_poisoned_overloaded_server_stays_clean() {
                         _ if k % 2 == 0 => {
                             raw_get(addr, "/lookup?surface=planner_advisor/f_nisq&device_qubits=NaN&logical_qubits=12")
                         }
-                        _ => raw_exchange(addr, "BROKEN\r\n\r\n"),
+                        _ => raw_exchange(addr, "BROKEN\r\n\r\n", Duration::from_secs(10)),
                     }
                     .unwrap_or_else(|e| panic!("client {c} request {i}: transport failure: {e}"));
                     assert_clean(status, &body, &format!("client {c} request {i}"));
@@ -667,6 +679,65 @@ fn drain_answers_every_admitted_request() {
         assert_clean(status, &body, &format!("drain client {i}"));
     }
     handle.join();
+}
+
+/// An exact query outside the advisor's range must not reach it: the
+/// advisor's work grows with the device size and nothing interrupts a
+/// running computation, so at 9·10¹⁸ qubits it would hold the only
+/// worker forever. It is answered from the surrogate instead, the next
+/// query is served, and the server still drains.
+#[test]
+fn out_of_range_exact_query_cannot_wedge_the_worker() {
+    let cfg = ServerConfig {
+        workers: 1,
+        ..ServerConfig::default()
+    };
+    let handle = serve(advisor_index(), cfg).unwrap();
+    let addr = handle.addr();
+
+    // A 200 (not a 504) proves the worker answered inside the request
+    // deadline; the client gives up after one second either way.
+    for target in [
+        "/plan?logical_qubits=24&device_qubits=9000000000000000000&exact=1",
+        "/plan?logical_qubits=500&device_qubits=200&exact=1",
+    ] {
+        let (status, body) = raw_get_within(addr, target, Duration::from_secs(1))
+            .unwrap_or_else(|e| panic!("{target}: no answer: {e}"));
+        assert_clean(status, &body, target);
+        assert_eq!(status, 200, "{target}: {body}");
+        let row = parse_row(body.trim()).unwrap();
+        assert_eq!(row.get_str("source"), Some("surface"), "{body}");
+        assert_eq!(row.get_int("degraded"), Some(1), "{body}");
+        assert_eq!(row.get_str("cause"), Some("out_of_range"), "{body}");
+    }
+
+    let (status, body) = raw_get_within(
+        addr,
+        "/plan?logical_qubits=24&device_qubits=30000",
+        Duration::from_secs(1),
+    )
+    .unwrap_or_else(|e| panic!("surrogate query after the out-of-range ones: {e}"));
+    assert_eq!(status, 200, "{body}");
+    // Refused before the exact path: neither an attempt nor a failure.
+    let stats = handle.stats();
+    assert_eq!(stats.exact.load(std::sync::atomic::Ordering::SeqCst), 0);
+    assert_eq!(
+        stats
+            .exact_failures
+            .load(std::sync::atomic::Ordering::SeqCst),
+        0
+    );
+
+    // A wedged worker would block the drain's join forever, so wait on
+    // it from another thread with a timeout.
+    let (done_tx, done_rx) = std::sync::mpsc::channel();
+    std::thread::spawn(move || {
+        handle.drain();
+        let _ = done_tx.send(());
+    });
+    done_rx
+        .recv_timeout(Duration::from_secs(5))
+        .expect("drain returned within 5 s");
 }
 
 /// The full baseline index serves `/surfaces` and a figure-surface
