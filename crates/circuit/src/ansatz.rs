@@ -8,9 +8,6 @@
 //! * **`blocked_all_to_all`** — the paper's layout-aware ansatz (Figure 10):
 //!   two blocks of `2k` qubits with local all-to-all connectivity, four
 //!   side qubits, and exactly eight slow "linking" CNOTs between blocks.
-//! * **UCCSD-lite** — a chemistry-flavoured excitation ansatz with the
-//!   `O(N)` CNOT-to-Rz ratio the paper attributes to UCCSD (Section 4.4).
-//! * **QAOA** — cost/mixer alternation for Ising-type Hamiltonians.
 //!
 //! Every builder returns an [`Ansatz`] wrapping a symbolic [`Circuit`];
 //! parameters are indexed in gate order.
@@ -26,10 +23,6 @@ pub enum AnsatzKind {
     FullyConnectedHea,
     /// The paper's layout-aware blocked ansatz (Figure 10).
     BlockedAllToAll,
-    /// Chemistry-flavoured excitation ansatz.
-    UccsdLite,
-    /// QAOA cost/mixer alternation.
-    Qaoa,
 }
 
 impl AnsatzKind {
@@ -39,8 +32,6 @@ impl AnsatzKind {
             AnsatzKind::LinearHea => "linear",
             AnsatzKind::FullyConnectedHea => "fully_connected",
             AnsatzKind::BlockedAllToAll => "blocked_all_to_all",
-            AnsatzKind::UccsdLite => "uccsd_lite",
-            AnsatzKind::Qaoa => "qaoa",
         }
     }
 }
@@ -248,115 +239,16 @@ pub fn blocked_all_to_all(n: usize, depth: usize) -> Ansatz {
     }
 }
 
-/// Builds a UCCSD-flavoured excitation ansatz: singles
-/// `exp(−iθ/2 (X_i Y_j − Y_i X_j))` on adjacent pairs and doubles across
-/// `(i, i+1, i+2, i+3)` windows, each lowered to the standard
-/// CNOT-ladder + `Rz` construction. Its CNOT-to-Rz ratio grows as `O(N)`,
-/// the property Section 4.4 relies on.
-///
-/// # Panics
-///
-/// Panics if `n < 4` or `depth == 0`.
-pub fn uccsd_lite(n: usize, depth: usize) -> Ansatz {
-    assert!(n >= 4, "uccsd_lite needs at least four qubits");
-    assert!(depth >= 1, "depth must be at least one layer");
-    let mut c = Circuit::new(n);
-    let mut p = 0;
-    for _ in 0..depth {
-        // Singles on adjacent pairs: basis change, CX ladder, Rz, undo.
-        for i in 0..n - 1 {
-            let j = i + 1;
-            c.h(i).h(j).cx(i, j);
-            c.rz_param(j, p);
-            p += 1;
-            c.cx(i, j).h(i).h(j);
-        }
-        // Doubles on 4-qubit windows with stride 2.
-        let mut w = 0;
-        while w + 3 < n {
-            let qs = [w, w + 1, w + 2, w + 3];
-            for &q in &qs {
-                c.h(q);
-            }
-            c.cx(qs[0], qs[1]).cx(qs[1], qs[2]).cx(qs[2], qs[3]);
-            c.rz_param(qs[3], p);
-            p += 1;
-            c.cx(qs[2], qs[3]).cx(qs[1], qs[2]).cx(qs[0], qs[1]);
-            for &q in &qs {
-                c.h(q);
-            }
-            w += 2;
-        }
-    }
-    Ansatz {
-        kind: AnsatzKind::UccsdLite,
-        depth,
-        circuit: c,
-    }
-}
-
-/// Builds a QAOA circuit for an Ising-type cost function over `edges`:
-/// initial `H` wall, then `depth` rounds of `ZZ(γ)` cost terms (lowered to
-/// `CX·Rz·CX`) and `Rx(β)` mixers. Parameters alternate `(γ_l, β_l)` and
-/// are shared across terms within a round, as in Farhi et al.
-///
-/// # Panics
-///
-/// Panics if `n < 2`, `depth == 0` or an edge is out of range / a
-/// self-loop.
-pub fn qaoa(n: usize, edges: &[(usize, usize)], depth: usize) -> Ansatz {
-    assert!(n >= 2, "qaoa needs at least two qubits");
-    assert!(depth >= 1, "depth must be at least one round");
-    let mut c = Circuit::new(n);
-    for q in 0..n {
-        c.h(q);
-    }
-    let mut p = 0;
-    for _ in 0..depth {
-        let gamma = p;
-        p += 1;
-        for &(a, b) in edges {
-            assert!(a != b && a < n && b < n, "bad edge ({a}, {b})");
-            c.cx(a, b);
-            c.rz_param(b, gamma);
-            c.cx(a, b);
-        }
-        let beta = p;
-        p += 1;
-        for q in 0..n {
-            c.rx_param(q, beta);
-        }
-    }
-    Ansatz {
-        kind: AnsatzKind::Qaoa,
-        depth,
-        circuit: c,
-    }
-}
-
 /// Closed-form per-layer CNOT count for an ansatz family on `n` qubits —
 /// the formulas Section 4.4 uses in the CNOT:Rz ratio rule.
 ///
-/// Returns `None` for families without a closed form here (QAOA depends on
-/// the edge set).
+/// Returns `None` when `n` is not a valid `blocked_all_to_all` register
+/// size.
 pub fn cnots_per_layer(kind: AnsatzKind, n: usize) -> Option<usize> {
     match kind {
         AnsatzKind::LinearHea => Some(n - 1),
         AnsatzKind::FullyConnectedHea => Some(n * (n - 1) / 2),
         AnsatzKind::BlockedAllToAll => blocked_block_parameter(n).map(|_| n * n / 2 + 20 - 5 * n),
-        _ => None,
-    }
-}
-
-/// Per-layer count of `Rz`-like rotations at the *logical* level (before
-/// repeat-until-success expansion): the HEA family applies `Rx + Rz` on
-/// every qubit, i.e. `2N`.
-pub fn logical_rotations_per_layer(kind: AnsatzKind, n: usize) -> Option<usize> {
-    match kind {
-        AnsatzKind::LinearHea | AnsatzKind::FullyConnectedHea | AnsatzKind::BlockedAllToAll => {
-            Some(2 * n)
-        }
-        _ => None,
     }
 }
 
@@ -424,10 +316,6 @@ mod tests {
             let a = blocked_all_to_all(n, 2);
             // depth+1 rotation layers × 2N rotations.
             assert_eq!(a.num_params(), 2 * n * 3);
-            assert_eq!(
-                logical_rotations_per_layer(AnsatzKind::BlockedAllToAll, n),
-                Some(2 * n)
-            );
         }
     }
 
@@ -446,35 +334,5 @@ mod tests {
         let c = a.bind(&params);
         assert_eq!(c.num_symbolic_params(), 0);
         assert_eq!(c.len(), a.circuit().len());
-    }
-
-    #[test]
-    fn uccsd_ratio_grows_linearly() {
-        // CNOT:Rz ratio should increase with N (the O(N) claim).
-        let r = |n: usize| {
-            let a = uccsd_lite(n, 1);
-            let c = a.circuit().counts();
-            c.cx as f64 / c.rz_like as f64
-        };
-        assert!(r(12) > r(6));
-        assert!(r(20) > r(12));
-    }
-
-    #[test]
-    fn qaoa_structure() {
-        let edges = [(0, 1), (1, 2), (2, 3)];
-        let a = qaoa(4, &edges, 2);
-        let c = a.circuit().counts();
-        assert_eq!(c.cx, 2 * 2 * 3); // 2 CX per edge per round
-        assert_eq!(a.num_params(), 4); // (γ, β) per round
-
-        // Mixer Rx gates: 4 qubits × 2 rounds are rz-like rotations.
-        assert_eq!(c.rz_like, 2 * 3 + 2 * 4); // shared-γ Rz per edge + mixers
-    }
-
-    #[test]
-    #[should_panic(expected = "bad edge")]
-    fn qaoa_rejects_self_loops() {
-        let _ = qaoa(3, &[(1, 1)], 1);
     }
 }

@@ -27,16 +27,6 @@ impl GateCounts {
     pub fn total(&self) -> usize {
         self.cx + self.other_two_qubit + self.rz_like + self.single_clifford + self.t + self.measure
     }
-
-    /// The CNOT-to-Rz growth ratio of Section 4.4 (`None` when no Rz-like
-    /// gates exist).
-    pub fn cx_to_rz_ratio(&self) -> Option<f64> {
-        if self.rz_like == 0 {
-            None
-        } else {
-            Some(self.cx as f64 / self.rz_like as f64)
-        }
-    }
 }
 
 /// An ordered list of gates over `n` qubits, with optional symbolic
@@ -446,15 +436,6 @@ mod tests {
         assert_eq!(k.t, 1);
         assert_eq!(k.measure, 1);
         assert_eq!(k.total(), c.len());
-    }
-
-    #[test]
-    fn cx_to_rz_ratio() {
-        let mut c = Circuit::new(2);
-        c.cx(0, 1).cx(1, 0).rz(0, 0.123);
-        assert_eq!(c.counts().cx_to_rz_ratio(), Some(2.0));
-        let empty = Circuit::new(1);
-        assert_eq!(empty.counts().cx_to_rz_ratio(), None);
     }
 
     #[test]

@@ -7,14 +7,12 @@
 //!   binding, depth and gate-count accounting.
 //! * [`ansatz`] — the ansatz family the paper evaluates: linear
 //!   hardware-efficient, fully-connected hardware-efficient (FCHE, Kandala
-//!   et al.), the paper's layout-aware `blocked_all_to_all` (Figure 10), a
-//!   UCCSD-flavoured ansatz and QAOA.
+//!   et al.) and the paper's layout-aware `blocked_all_to_all` (Figure 10).
 //! * [`transpile`] — gate merging, Clifford detection/lowering, the
 //!   runtime repeat-until-success expansion of Figure 2(B).
-//! * [`synthesis`] — the Clifford+T synthesis model standing in for
-//!   Gridsynth: exact synthesis for multiples of π/4, a
-//!   meet-in-the-middle approximate synthesizer for arbitrary angles, and
-//!   the Ross–Selinger T-count estimate used for resource accounting.
+//! * [`synthesis`] — the Clifford+T cost model standing in for Gridsynth:
+//!   the Ross–Selinger T-count estimate used for resource accounting and
+//!   the Section 2.5 decomposition blow-up.
 //!
 //! # Examples
 //!
@@ -32,7 +30,6 @@
 pub mod ansatz;
 pub mod circuit;
 pub mod gate;
-pub mod qasm;
 pub mod synthesis;
 pub mod transpile;
 

@@ -1,87 +1,19 @@
 //! Clifford+T synthesis: the Gridsynth stand-in.
 //!
 //! The paper's `qec-conventional` baseline decomposes every `Rz(θ)` into a
-//! Clifford+T word via Gridsynth (Ross–Selinger). This module provides the
-//! three pieces the reproduction needs:
+//! Clifford+T word via Gridsynth (Ross–Selinger). The only output of
+//! Gridsynth the paper's resource accounting consumes is the word's cost,
+//! so this module models that cost rather than synthesizing words:
 //!
 //! 1. [`ross_selinger_t_count`] — the published asymptotic T-count
-//!    `K(ε) ≈ 3.07·log₂(1/ε) − 4.3`, which is the only output of Gridsynth
-//!    the paper's resource accounting consumes.
-//! 2. [`exact_rz_synthesis`] — exact (zero-error) Clifford+T words for the
-//!    angles `k·π/4`, used by tests and by the Clifford-restricted VQE.
-//! 3. [`approximate_rz_sequence`] — a genuine meet-in-the-middle search over
-//!    `{H, T}` words that synthesizes arbitrary angles to verifiable
-//!    (modest) precision, demonstrating the precision-vs-length trade-off
-//!    that motivates the paper's Section 2.5 blow-up discussion.
+//!    `K(ε) ≈ 3.07·log₂(1/ε) − 4.3`.
+//! 2. [`synthesized_word_length`] — the full word length (T gates plus the
+//!    interleaving Cliffords).
 //!
 //! The blow-up report of Section 2.5 (≈7× depth, ≈20× gates at ε = 1e-6 for
 //! a 20-qubit VQE) is reproduced by [`decomposition_blowup`].
 
 use crate::circuit::Circuit;
-use crate::gate::Gate;
-use eftq_numerics::Mat2;
-use std::f64::consts::FRAC_PI_4;
-
-/// A gate letter in a synthesized single-qubit word.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-pub enum SynthGate {
-    /// Hadamard.
-    H,
-    /// T gate.
-    T,
-    /// T† gate.
-    Tdg,
-    /// S gate.
-    S,
-    /// S† gate.
-    Sdg,
-    /// Pauli Z.
-    Z,
-    /// Pauli X.
-    X,
-}
-
-impl SynthGate {
-    /// The 2×2 unitary of this letter.
-    pub fn matrix(self) -> Mat2 {
-        match self {
-            SynthGate::H => Mat2::hadamard(),
-            SynthGate::T => Mat2::t_gate(),
-            SynthGate::Tdg => Mat2::t_gate().adjoint(),
-            SynthGate::S => Mat2::s_gate(),
-            SynthGate::Sdg => Mat2::sdg_gate(),
-            SynthGate::Z => Mat2::pauli_z(),
-            SynthGate::X => Mat2::pauli_x(),
-        }
-    }
-
-    /// Converts to a circuit [`Gate`] on qubit `q`.
-    pub fn to_gate(self, q: usize) -> Gate {
-        match self {
-            SynthGate::H => Gate::H(q),
-            SynthGate::T => Gate::T(q),
-            SynthGate::Tdg => Gate::Tdg(q),
-            SynthGate::S => Gate::S(q),
-            SynthGate::Sdg => Gate::Sdg(q),
-            SynthGate::Z => Gate::Z(q),
-            SynthGate::X => Gate::X(q),
-        }
-    }
-
-    /// Whether the letter is a T-type (non-Clifford) gate.
-    pub fn is_t_like(self) -> bool {
-        matches!(self, SynthGate::T | SynthGate::Tdg)
-    }
-}
-
-/// Unitary of a synthesized word (applied left-to-right as a circuit).
-pub fn word_unitary(word: &[SynthGate]) -> Mat2 {
-    let mut u = Mat2::identity();
-    for g in word {
-        u = g.matrix().mul(&u);
-    }
-    u
-}
 
 /// Ross–Selinger T-count for approximating an arbitrary `Rz` to precision
 /// `epsilon`: `K(ε) = ⌈3.067·log₂(1/ε) − 4.322⌉`, clamped to ≥ 1.
@@ -106,87 +38,6 @@ pub fn ross_selinger_t_count(epsilon: f64) -> usize {
 /// the interleaving Cliffords (≈ one H per T) and a constant trailer.
 pub fn synthesized_word_length(epsilon: f64) -> usize {
     2 * ross_selinger_t_count(epsilon) + 2
-}
-
-/// Exact Clifford+T word for `Rz(k·π/4)` (up to global phase). Returns the
-/// minimal word over `{T, S, Z, S†, T†}`.
-pub fn exact_rz_synthesis(k: i64) -> Vec<SynthGate> {
-    match k.rem_euclid(8) {
-        0 => vec![],
-        1 => vec![SynthGate::T],
-        2 => vec![SynthGate::S],
-        3 => vec![SynthGate::S, SynthGate::T],
-        4 => vec![SynthGate::Z],
-        5 => vec![SynthGate::Z, SynthGate::T],
-        6 => vec![SynthGate::Sdg],
-        _ => vec![SynthGate::Tdg],
-    }
-}
-
-/// Result of the meet-in-the-middle approximate synthesis.
-#[derive(Clone, Debug)]
-pub struct ApproxSynthesis {
-    /// The synthesized word (apply left-to-right).
-    pub word: Vec<SynthGate>,
-    /// Phase-invariant max-entry distance to the target rotation.
-    pub error: f64,
-    /// Number of T-type letters in the word.
-    pub t_count: usize,
-}
-
-/// Meet-in-the-middle search for a `{H, T}` word approximating `Rz(theta)`.
-///
-/// Enumerates all words of length ≤ `max_len` (capped at 24; the search is
-/// `O(2^max_len)` with small constants) and returns the best, with ties
-/// broken toward shorter words and fewer T gates. This is a *demonstrative*
-/// synthesizer: it exhibits the error-vs-length trade-off of real Gridsynth
-/// at small scales; resource accounting uses [`ross_selinger_t_count`].
-///
-/// # Panics
-///
-/// Panics if `max_len > 24`.
-pub fn approximate_rz_sequence(theta: f64, max_len: usize) -> ApproxSynthesis {
-    assert!(max_len <= 24, "search capped at 24 letters");
-    let target = Mat2::rz(theta);
-    let mut best = ApproxSynthesis {
-        word: vec![],
-        error: Mat2::identity().phase_invariant_distance(&target),
-        t_count: 0,
-    };
-    // Enumerate words as bit strings; bit i of `code` selects H (0) or T (1)
-    // at position i. Prune consecutive-duplicate-H (HH = I) for speed.
-    for len in 1..=max_len {
-        for code in 0u32..(1u32 << len) {
-            let mut word = Vec::with_capacity(len);
-            let mut skip = false;
-            for i in 0..len {
-                let g = if (code >> i) & 1 == 1 {
-                    SynthGate::T
-                } else {
-                    SynthGate::H
-                };
-                if g == SynthGate::H && word.last() == Some(&SynthGate::H) {
-                    skip = true;
-                    break;
-                }
-                word.push(g);
-            }
-            if skip {
-                continue;
-            }
-            let u = word_unitary(&word);
-            let err = u.phase_invariant_distance(&target);
-            let t_count = word.iter().filter(|g| g.is_t_like()).count();
-            if err + 1e-15 < best.error || (err < best.error + 1e-15 && t_count < best.t_count) {
-                best = ApproxSynthesis {
-                    word,
-                    error: err,
-                    t_count,
-                };
-            }
-        }
-    }
-    best
 }
 
 /// The Section-2.5 blow-up report for decomposing every injection-requiring
@@ -236,18 +87,6 @@ pub fn decomposition_blowup(circuit: &Circuit, epsilon: f64) -> BlowupReport {
     }
 }
 
-/// Convenience: the exact-synthesis word for the nearest multiple of π/4 if
-/// `theta` is one (within `tol`), otherwise an approximate word of length
-/// ≤ `max_len`.
-pub fn synthesize_rz(theta: f64, tol: f64, max_len: usize) -> Vec<SynthGate> {
-    let k = (theta / FRAC_PI_4).round();
-    if (theta - k * FRAC_PI_4).abs() <= tol {
-        exact_rz_synthesis(k as i64)
-    } else {
-        approximate_rz_sequence(theta, max_len).word
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -275,71 +114,6 @@ mod tests {
     }
 
     #[test]
-    fn exact_synthesis_all_multiples() {
-        for k in -8i64..=8 {
-            let word = exact_rz_synthesis(k);
-            let u = word_unitary(&word);
-            let target = Mat2::rz(k as f64 * FRAC_PI_4);
-            assert!(
-                u.phase_invariant_distance(&target) < 1e-12,
-                "k = {k}, word = {word:?}"
-            );
-        }
-    }
-
-    #[test]
-    fn exact_synthesis_t_counts_minimal() {
-        assert!(exact_rz_synthesis(0).is_empty());
-        assert_eq!(exact_rz_synthesis(2), vec![SynthGate::S]);
-        assert_eq!(exact_rz_synthesis(4), vec![SynthGate::Z]);
-        // Odd multiples need exactly one T-type letter.
-        for k in [1i64, 3, 5, 7] {
-            let t = exact_rz_synthesis(k)
-                .iter()
-                .filter(|g| g.is_t_like())
-                .count();
-            assert_eq!(t, 1, "k = {k}");
-        }
-    }
-
-    #[test]
-    fn approximate_synthesis_error_decreases_with_budget() {
-        let theta = 0.37;
-        let short = approximate_rz_sequence(theta, 6);
-        let long = approximate_rz_sequence(theta, 12);
-        assert!(long.error <= short.error + 1e-12);
-        assert!(
-            long.error < 0.5,
-            "12-letter search should do better: {}",
-            long.error
-        );
-        // The word actually approximates the target.
-        let u = word_unitary(&long.word);
-        assert!(u.phase_invariant_distance(&Mat2::rz(theta)) <= long.error + 1e-12);
-    }
-
-    #[test]
-    fn approximate_synthesis_exact_when_target_is_clifford_t() {
-        // Rz(π/4) = T is reachable exactly.
-        let r = approximate_rz_sequence(FRAC_PI_4, 4);
-        assert!(r.error < 1e-10, "error {}", r.error);
-        assert_eq!(r.t_count, 1);
-    }
-
-    #[test]
-    fn synthesize_rz_dispatches() {
-        let exact = synthesize_rz(2.0 * FRAC_PI_4, 1e-9, 8);
-        assert_eq!(exact, vec![SynthGate::S]);
-        // A non-Clifford+T angle goes through the approximate search; the
-        // search may legitimately return the empty word when identity is
-        // the best approximation (tiny angles), so probe a large angle.
-        let approx = synthesize_rz(1.1, 1e-9, 10);
-        let u = word_unitary(&approx);
-        let base = Mat2::identity().phase_invariant_distance(&Mat2::rz(1.1));
-        assert!(u.phase_invariant_distance(&Mat2::rz(1.1)) <= base + 1e-12);
-    }
-
-    #[test]
     fn blowup_on_20_qubit_vqe_matches_section_2_5_ballpark() {
         // 20-qubit FCHE depth-1 VQE at 1e-6 precision: the paper reports
         // ≈7× depth and ≈20× gate growth. Our synthesized-word model lands
@@ -360,12 +134,5 @@ mod tests {
         assert_eq!(r.gates_before, r.gates_after);
         assert_eq!(r.t_count, 0);
         assert_eq!(r.gate_factor, 1.0);
-    }
-
-    #[test]
-    fn word_unitary_composes_left_to_right() {
-        let u = word_unitary(&[SynthGate::H, SynthGate::S]);
-        let want = Mat2::s_gate().mul(&Mat2::hadamard());
-        assert!(u.approx_eq(&want, 1e-12));
     }
 }

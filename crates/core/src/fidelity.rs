@@ -17,12 +17,11 @@
 //!   errors. The model scans the factory count and reports the best.
 //! * **qec-cultivation** — same structure with cultivation units.
 //!
-//! Calibration notes (also in DESIGN.md): memory errors are charged at
-//! `p_L` per patch per scheduler cycle — conservative, but it is what
-//! reproduces the paper's finding that distillation stalls dominate large
-//! factories. Fidelities are floored at [`FIDELITY_FLOOR`] (a fully
-//! scrambled state retains no useful fidelity; ratios below the floor are
-//! not meaningful).
+//! Calibration notes: memory errors are charged at `p_L` per patch per
+//! scheduler cycle — conservative, but it is what reproduces the paper's
+//! finding that distillation stalls dominate large factories. Fidelities
+//! are floored at [`FIDELITY_FLOOR`] (a fully scrambled state retains no
+//! useful fidelity; ratios below the floor are not meaningful).
 
 use eftq_circuit::ansatz::{cnots_per_layer, AnsatzKind};
 use eftq_circuit::synthesis::ross_selinger_t_count;

@@ -13,7 +13,7 @@
 //! pairs (XX+YY) and higher-weight exchange strings, with bond length
 //! modulating the diagonal/hopping balance. This preserves the workload
 //! shape the evaluation exercises (term count, locality mix, optimizer
-//! landscape); absolute chemistry values are not claimed. See DESIGN.md.
+//! landscape); absolute chemistry values are not claimed.
 
 use eftq_numerics::SeedSequence;
 use eftq_pauli::{Pauli, PauliString, PauliSum};
@@ -66,76 +66,6 @@ pub fn heisenberg_1d(n: usize, j: f64) -> PauliSum {
             s.set_pauli(i, letter);
             s.set_pauli(i + 1, letter);
             h.push(coeff, s);
-        }
-    }
-    h
-}
-
-/// 2-D transverse-field Ising model on a `rows × cols` open-boundary
-/// square lattice: `H = J Σ_{⟨ij⟩} X_i X_j + Σ_i Z_i`. The natural
-/// scaling target beyond the paper's 1-D chains (its phase-transition
-/// references [12, 16] cover both).
-///
-/// Qubit `(r, c)` has index `r·cols + c`.
-///
-/// # Panics
-///
-/// Panics if either dimension is below 2 or the lattice exceeds 64 sites
-/// (mask-based simulators).
-pub fn ising_2d(rows: usize, cols: usize, j: f64) -> PauliSum {
-    assert!(rows >= 2 && cols >= 2, "lattice needs at least 2x2 sites");
-    let n = rows * cols;
-    assert!(n <= 64, "lattice capped at 64 sites");
-    let mut h = PauliSum::new(n);
-    let idx = |r: usize, c: usize| r * cols + c;
-    for r in 0..rows {
-        for c in 0..cols {
-            if c + 1 < cols {
-                let mut s = PauliString::identity(n);
-                s.set_pauli(idx(r, c), Pauli::X);
-                s.set_pauli(idx(r, c + 1), Pauli::X);
-                h.push(j, s);
-            }
-            if r + 1 < rows {
-                let mut s = PauliString::identity(n);
-                s.set_pauli(idx(r, c), Pauli::X);
-                s.set_pauli(idx(r + 1, c), Pauli::X);
-                h.push(j, s);
-            }
-            h.push(1.0, PauliString::single(n, idx(r, c), Pauli::Z));
-        }
-    }
-    h
-}
-
-/// 2-D Heisenberg model on an open-boundary square lattice:
-/// `H = Σ_{⟨ij⟩} (J X_i X_j + J Y_i Y_j + Z_i Z_j)`.
-///
-/// # Panics
-///
-/// Same conditions as [`ising_2d`].
-pub fn heisenberg_2d(rows: usize, cols: usize, j: f64) -> PauliSum {
-    assert!(rows >= 2 && cols >= 2, "lattice needs at least 2x2 sites");
-    let n = rows * cols;
-    assert!(n <= 64, "lattice capped at 64 sites");
-    let mut h = PauliSum::new(n);
-    let idx = |r: usize, c: usize| r * cols + c;
-    let bond = |h: &mut PauliSum, a: usize, b: usize| {
-        for (letter, coeff) in [(Pauli::X, j), (Pauli::Y, j), (Pauli::Z, 1.0)] {
-            let mut s = PauliString::identity(n);
-            s.set_pauli(a, letter);
-            s.set_pauli(b, letter);
-            h.push(coeff, s);
-        }
-    };
-    for r in 0..rows {
-        for c in 0..cols {
-            if c + 1 < cols {
-                bond(&mut h, idx(r, c), idx(r, c + 1));
-            }
-            if r + 1 < rows {
-                bond(&mut h, idx(r, c), idx(r + 1, c));
-            }
         }
     }
     h
@@ -393,37 +323,6 @@ mod tests {
         let e0 = h.ground_energy_default().unwrap();
         assert!(e0.is_finite());
         assert!(e0 < 0.0, "{e0}");
-    }
-
-    #[test]
-    fn ising_2d_structure() {
-        // 3x3 lattice: 12 bonds + 9 fields.
-        let h = ising_2d(3, 3, 0.5);
-        assert_eq!(h.num_qubits(), 9);
-        assert_eq!(h.num_terms(), 12 + 9);
-        // 2x2 ground energy is below the product-state value of 4... the
-        // trivial |0000⟩ has energy +4 (all Z up); ground is far below.
-        let small = ising_2d(2, 2, 1.0);
-        let e0 = small.ground_energy_default().unwrap();
-        assert!(e0 < -4.0, "{e0}");
-    }
-
-    #[test]
-    fn heisenberg_2d_matches_1d_on_a_strip() {
-        // A 2xN strip has the ladder bonds; a degenerate check: 2x2 has 4
-        // bonds x 3 letters = 12 terms.
-        let h = heisenberg_2d(2, 2, 1.0);
-        assert_eq!(h.num_terms(), 12);
-        let e0 = h.ground_energy_default().unwrap();
-        // 2x2 Heisenberg plaquette ground energy: -8 for the isotropic
-        // model with our normalization... just require a bound.
-        assert!(e0 < -4.0, "{e0}");
-    }
-
-    #[test]
-    #[should_panic(expected = "at least 2x2")]
-    fn lattice_rejects_chains() {
-        let _ = ising_2d(1, 5, 1.0);
     }
 
     #[test]

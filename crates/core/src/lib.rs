@@ -97,9 +97,7 @@ pub mod prelude {
     };
     pub use crate::vqe::{run_vqe, VqeConfig, VqeOutcome};
     pub use crate::{plan, relative_improvement, ExecutionRegime, RegimePlan, Workload};
-    pub use eftq_circuit::ansatz::{
-        blocked_all_to_all, fully_connected_hea, linear_hea, qaoa, uccsd_lite,
-    };
+    pub use eftq_circuit::ansatz::{blocked_all_to_all, fully_connected_hea, linear_hea};
     pub use eftq_circuit::{Ansatz, AnsatzKind, Circuit, Gate};
     pub use eftq_numerics::SeedSequence;
     pub use eftq_pauli::{Pauli, PauliString, PauliSum};

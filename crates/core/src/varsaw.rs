@@ -4,8 +4,9 @@
 //! *measurement* error mitigation for VQAs: it corrects the readout
 //! corruption of each Hamiltonian term's estimate, reusing calibration
 //! across the qubit-wise-commuting measurement groups. The mechanism that
-//! matters for Figure 15 is the per-term readout correction, implemented
-//! here on top of `eftq-statesim`'s confusion-matrix machinery:
+//! matters for Figure 15 is the per-term readout correction, applied here
+//! in closed form to exact term expectations of an `eftq-statesim` density
+//! matrix:
 //!
 //! * Without mitigation, a term of weight `w` estimated from flipped
 //!   readouts is damped by `(1 − 2·p_meas)^w`, which *distorts* the energy

@@ -11,12 +11,12 @@
 //! and a Grid layout (every data patch embedded in a routing checkerboard,
 //! `4n` tiles).
 //!
-//! **Calibration note (also in DESIGN.md):** the per-layout *time
-//! multipliers* are fitted so the Table-1 spacetime-volume ratios land in
-//! the published neighbourhood. The paper's own numbers come from their
-//! scheduler; what is structural — and what tests assert — is that every
-//! baseline's spacetime volume is ≥ the proposed layout's, with the
-//! ordering Compact ≤ Intermediate ≤ Fast ≤ Grid, because VQA CNOT ladders
+//! **Calibration note:** the per-layout *time multipliers* are fitted so
+//! the Table-1 spacetime-volume ratios land in the published
+//! neighbourhood. The paper's own numbers come from their scheduler; what
+//! is structural — and what tests assert — is that every baseline's
+//! spacetime volume is ≥ the proposed layout's, with the ordering
+//! Compact ≤ Intermediate ≤ Fast ≤ Grid, because VQA CNOT ladders
 //! serialize and extra routing space buys no parallelism (Section 4.1).
 
 use serde::{Deserialize, Serialize};

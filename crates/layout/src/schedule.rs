@@ -96,7 +96,6 @@ fn per_layer_cycles(kind: AnsatzKind, n: usize, cfg: &ScheduleConfig) -> usize {
             // in-block alignment (neighbours share rows).
             cfg.cluster_cycles * (n - 1) + cfg.in_block_alignment * (n - 2)
         }
-        other => panic!("no closed-form schedule for ansatz {other:?}"),
     }
 }
 
@@ -111,8 +110,7 @@ fn supports_block_parallelism(kind: LayoutKind) -> bool {
 ///
 /// # Panics
 ///
-/// Panics for ansatz kinds without a closed-form schedule (UCCSD, QAOA —
-/// use [`schedule_circuit`]) and for `n < 2` or `depth == 0`.
+/// Panics for `n < 2` or `depth == 0`.
 pub fn schedule_ansatz(
     kind: AnsatzKind,
     n: usize,
@@ -134,7 +132,6 @@ pub fn schedule_ansatz(
         * match kind {
             AnsatzKind::FullyConnectedHea | AnsatzKind::LinearHea => n - 1,
             AnsatzKind::BlockedAllToAll => 4 * LayoutModel::block_parameter_for(n) + 8,
-            _ => unreachable!(),
         };
     ScheduleReport {
         cycles,
@@ -411,17 +408,5 @@ mod tests {
         let v7 = r.physical_spacetime_volume(7);
         assert!(v11 > v7);
         assert!((v11 / r.spacetime_volume() - 241.0).abs() < 1e-9);
-    }
-
-    #[test]
-    #[should_panic(expected = "no closed-form schedule")]
-    fn uccsd_needs_generic_scheduler() {
-        let _ = schedule_ansatz(
-            AnsatzKind::UccsdLite,
-            8,
-            1,
-            &LayoutModel::proposed(),
-            &cfg(),
-        );
     }
 }

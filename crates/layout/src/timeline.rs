@@ -90,10 +90,6 @@ impl Timeline {
 /// cycle count exactly (a property the tests pin). Rotation consumptions
 /// run *concurrently* with the CNOT stream on the layout's injection
 /// sites, so they add operation volume but not makespan (Section 4.1).
-///
-/// # Panics
-///
-/// Panics for ansatz kinds without a closed-form schedule.
 pub fn ansatz_timeline(kind: AnsatzKind, n: usize, depth: usize, cfg: &ScheduleConfig) -> Timeline {
     let k = LayoutModel::block_parameter_for(n);
     let layout = LayoutModel::proposed();
@@ -186,7 +182,6 @@ pub fn ansatz_timeline(kind: AnsatzKind, n: usize, depth: usize, cfg: &ScheduleC
                     clock += cfg.cluster_cycles;
                 }
             }
-            other => panic!("no closed-form timeline for ansatz {other:?}"),
         }
         // Rotation consumptions pipeline against the layer on the magic
         // sites: 2N rotations per layer, each engaging a data patch, a

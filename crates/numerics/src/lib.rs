@@ -9,9 +9,8 @@
 //!
 //! * [`Complex`] — a `f64` complex number with the full arithmetic surface
 //!   used by the simulators.
-//! * [`Mat2`] / [`Mat4`] — dense 2×2 and 4×4 complex matrices (single- and
-//!   two-qubit operators) with multiplication, adjoints, tensor products and
-//!   unitarity checks.
+//! * [`Mat2`] — dense 2×2 complex matrices (single-qubit operators) with
+//!   multiplication, adjoints and unitarity checks.
 //! * [`lanczos()`] — a Lanczos ground-state eigensolver over a caller-supplied
 //!   Hermitian matrix–vector product, used to obtain exact reference energies
 //!   for the γ metric.
@@ -47,5 +46,5 @@ pub mod words;
 pub use bernoulli::BernoulliWords;
 pub use complex::Complex;
 pub use lanczos::{lanczos, LanczosError, LanczosOptions, LanczosResult};
-pub use mat::{Mat2, Mat4};
+pub use mat::Mat2;
 pub use rng::{splitmix64, SeedSequence};

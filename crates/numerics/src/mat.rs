@@ -1,5 +1,5 @@
-//! Small dense complex matrices: single-qubit (2×2) and two-qubit (4×4)
-//! operators, plus the standard gate matrices used across the workspace.
+//! Small dense complex matrices: single-qubit (2×2) operators, plus the
+//! standard gate matrices used across the workspace.
 
 use crate::complex::Complex;
 use std::f64::consts::FRAC_1_SQRT_2;
@@ -149,22 +149,6 @@ impl Mat2 {
         )
     }
 
-    /// Kronecker product `self ⊗ rhs`, giving the 4×4 operator that acts with
-    /// `self` on the *high* (most-significant) qubit and `rhs` on the low one.
-    pub fn kron(&self, rhs: &Mat2) -> Mat4 {
-        let mut out = Mat4::zero();
-        for i in 0..2 {
-            for j in 0..2 {
-                for k in 0..2 {
-                    for l in 0..2 {
-                        out.m[(2 * i + k) * 4 + (2 * j + l)] = self.m[i * 2 + j] * rhs.m[k * 2 + l];
-                    }
-                }
-            }
-        }
-        out
-    }
-
     /// Trace.
     pub fn trace(&self) -> Complex {
         self.m[0] + self.m[3]
@@ -184,8 +168,7 @@ impl Mat2 {
     }
 
     /// Operator distance `max_ij |a_ij - b_ij|`; a cheap proxy for the
-    /// diamond-norm distances used when validating synthesized gate
-    /// sequences.
+    /// diamond-norm distance.
     pub fn max_entry_distance(&self, rhs: &Mat2) -> f64 {
         self.m
             .iter()
@@ -210,119 +193,6 @@ impl Mat2 {
         let phase = rhs.m[idx] / self.m[idx];
         let phase = phase / phase.abs();
         self.scale(phase).max_entry_distance(rhs)
-    }
-}
-
-/// A 4×4 complex matrix in row-major order, used for two-qubit operators.
-///
-/// Basis ordering is `|q_high q_low⟩` with the high qubit contributed by the
-/// left factor of [`Mat2::kron`].
-#[derive(Clone, Debug, PartialEq)]
-pub struct Mat4 {
-    /// Row-major entries.
-    pub m: [Complex; 16],
-}
-
-impl Default for Mat4 {
-    fn default() -> Self {
-        Mat4::identity()
-    }
-}
-
-impl Mat4 {
-    /// Creates a matrix from row-major entries.
-    #[inline]
-    pub const fn new(m: [Complex; 16]) -> Self {
-        Mat4 { m }
-    }
-
-    /// The zero matrix.
-    pub fn zero() -> Self {
-        Mat4::new([Complex::ZERO; 16])
-    }
-
-    /// The 4×4 identity.
-    pub fn identity() -> Self {
-        let mut out = Mat4::zero();
-        for i in 0..4 {
-            out.m[i * 4 + i] = Complex::ONE;
-        }
-        out
-    }
-
-    /// CNOT with the *high* qubit as control and the low qubit as target
-    /// (basis `|control target⟩`).
-    pub fn cnot() -> Self {
-        let mut out = Mat4::zero();
-        let map = [0usize, 1, 3, 2];
-        for (col, &row) in map.iter().enumerate() {
-            out.m[row * 4 + col] = Complex::ONE;
-        }
-        out
-    }
-
-    /// Controlled-Z (symmetric in its qubits).
-    pub fn cz() -> Self {
-        let mut out = Mat4::identity();
-        out.m[15] = -Complex::ONE;
-        out
-    }
-
-    /// Matrix product `self · rhs`.
-    pub fn mul(&self, rhs: &Mat4) -> Mat4 {
-        let mut out = Mat4::zero();
-        for i in 0..4 {
-            for k in 0..4 {
-                let a = self.m[i * 4 + k];
-                if a == Complex::ZERO {
-                    continue;
-                }
-                for j in 0..4 {
-                    out.m[i * 4 + j] += a * rhs.m[k * 4 + j];
-                }
-            }
-        }
-        out
-    }
-
-    /// Conjugate transpose.
-    pub fn adjoint(&self) -> Mat4 {
-        let mut out = Mat4::zero();
-        for i in 0..4 {
-            for j in 0..4 {
-                out.m[j * 4 + i] = self.m[i * 4 + j].conj();
-            }
-        }
-        out
-    }
-
-    /// Applies the matrix to a 4-vector.
-    pub fn apply(&self, v: [Complex; 4]) -> [Complex; 4] {
-        let mut out = [Complex::ZERO; 4];
-        for (i, o) in out.iter_mut().enumerate() {
-            for (j, vj) in v.iter().enumerate() {
-                *o += self.m[i * 4 + j] * *vj;
-            }
-        }
-        out
-    }
-
-    /// Trace.
-    pub fn trace(&self) -> Complex {
-        (0..4).map(|i| self.m[i * 4 + i]).sum()
-    }
-
-    /// Whether `U†U ≈ I` within tolerance `tol` per entry.
-    pub fn is_unitary(&self, tol: f64) -> bool {
-        self.adjoint().mul(self).approx_eq(&Mat4::identity(), tol)
-    }
-
-    /// Entry-wise approximate equality.
-    pub fn approx_eq(&self, rhs: &Mat4, tol: f64) -> bool {
-        self.m
-            .iter()
-            .zip(rhs.m.iter())
-            .all(|(a, b)| a.approx_eq(*b, tol))
     }
 }
 
@@ -395,49 +265,6 @@ mod tests {
         let (a, b) = u.apply(Complex::ONE, Complex::ZERO);
         assert!(a.approx_eq(u.m[0], TOL));
         assert!(b.approx_eq(u.m[2], TOL));
-    }
-
-    #[test]
-    fn kron_dimensions_and_values() {
-        let zx = Mat2::pauli_z().kron(&Mat2::pauli_x());
-        // ⟨00| Z⊗X |01⟩ = 1 (Z on |0⟩ → +, X flips low bit).
-        assert!(zx.m[1].approx_eq(Complex::ONE, TOL));
-        // ⟨10| Z⊗X |11⟩ = -1.
-        assert!(zx.m[2 * 4 + 3].approx_eq(-Complex::ONE, TOL));
-        assert!(zx.is_unitary(TOL));
-    }
-
-    #[test]
-    fn cnot_truth_table() {
-        let cx = Mat4::cnot();
-        // |10⟩ → |11⟩ : column 2 has a 1 at row 3.
-        assert!(cx.m[3 * 4 + 2].approx_eq(Complex::ONE, TOL));
-        // |00⟩ fixed.
-        assert!(cx.m[0].approx_eq(Complex::ONE, TOL));
-        assert!(cx.is_unitary(TOL));
-        assert!(cx.mul(&cx).approx_eq(&Mat4::identity(), TOL));
-    }
-
-    #[test]
-    fn cz_is_symmetric_and_diagonal() {
-        let cz = Mat4::cz();
-        assert!(cz.m[15].approx_eq(-Complex::ONE, TOL));
-        assert!(cz.mul(&cz).approx_eq(&Mat4::identity(), TOL));
-    }
-
-    #[test]
-    fn cnot_from_h_cz_h() {
-        // CX = (I⊗H) CZ (I⊗H) for control = high qubit.
-        let ih = Mat2::identity().kron(&Mat2::hadamard());
-        let built = ih.mul(&Mat4::cz()).mul(&ih);
-        assert!(built.approx_eq(&Mat4::cnot(), TOL));
-    }
-
-    #[test]
-    fn mat4_trace_and_apply() {
-        assert!(Mat4::identity().trace().approx_eq(Complex::real(4.0), TOL));
-        let v = Mat4::cnot().apply([Complex::ZERO, Complex::ZERO, Complex::ONE, Complex::ZERO]);
-        assert!(v[3].approx_eq(Complex::ONE, TOL));
     }
 
     #[test]

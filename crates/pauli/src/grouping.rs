@@ -3,8 +3,9 @@
 //! Energy estimation on hardware measures one basis at a time; terms that
 //! commute qubit-wise can share a measurement setting. The greedy first-fit
 //! partitioning here is the standard approach (it is what Qiskit's
-//! `AbelianGrouper` does) and is exercised by the measurement-based VQE path
-//! and the VarSaw-style mitigation.
+//! `AbelianGrouper` does). The VarSaw-style mitigation calibrates one
+//! readout correction per group, and the stabilizer engine's grouped
+//! observable evaluates each group in one tableau pass.
 
 use crate::pauli::Pauli;
 use crate::string::PauliString;
@@ -21,16 +22,6 @@ pub struct PauliGroup {
     /// Per-qubit measurement basis: the non-identity letter each qubit must
     /// be measured in (`I` when every term is identity there — measure Z).
     pub basis: Vec<Pauli>,
-}
-
-impl PauliGroup {
-    /// The measurement basis letter for qubit `q` (Z where unconstrained).
-    pub fn measurement_basis(&self, q: usize) -> Pauli {
-        match self.basis.get(q) {
-            Some(Pauli::I) | None => Pauli::Z,
-            Some(p) => *p,
-        }
-    }
 }
 
 /// Greedy first-fit partition of `sum` into qubit-wise-commuting groups.
@@ -107,7 +98,7 @@ mod tests {
         let groups = group_qubit_wise_commuting(&h);
         assert_eq!(groups.len(), 1);
         assert_eq!(groups[0].terms.len(), 4);
-        assert_eq!(groups[0].measurement_basis(0), Pauli::Z);
+        assert_eq!(groups[0].basis, vec![Pauli::Z; 3]);
     }
 
     #[test]
@@ -142,14 +133,6 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn basis_defaults_to_z_on_identity_columns() {
-        let h = sum_of(&["XI"]);
-        let groups = group_qubit_wise_commuting(&h);
-        assert_eq!(groups[0].measurement_basis(0), Pauli::X);
-        assert_eq!(groups[0].measurement_basis(1), Pauli::Z);
     }
 
     #[test]

@@ -13,8 +13,9 @@
 //! * [`PauliSum`] — a real-linear combination of Pauli strings (an
 //!   observable / Hamiltonian) with simplification, grouping and a
 //!   matrix-free ground-energy solver.
-//! * [`grouping`] — qubit-wise-commuting partitioning used by
-//!   measurement-based energy estimation.
+//! * [`grouping`] — qubit-wise-commuting partitioning, used by the
+//!   VarSaw-style readout mitigation and the stabilizer engine's grouped
+//!   observable.
 //!
 //! # Examples
 //!

@@ -19,10 +19,10 @@
 //!    queue sheds with 429.
 //! 3. **Evaluate.** Worker threads answer from the surrogate index in
 //!    microseconds. A request older than its deadline is answered with
-//!    a structured 504 *without* evaluating. `/plan?exact=1` attempts
-//!    exact recomputation through an [`ArtifactCache`], guarded by the
-//!    input bound ([`EXACT_MAX_DEVICE_QUBITS`]), the remaining deadline,
-//!    a [`CircuitBreaker`], `catch_unwind`, and the chaos harness
+//!    a structured 504 *without* evaluating. `/plan?exact=1` recomputes
+//!    the plan exactly on every query, guarded by the input bound
+//!    ([`EXACT_MAX_DEVICE_QUBITS`]), the remaining deadline, a
+//!    [`CircuitBreaker`], `catch_unwind`, and the chaos harness
 //!    (`EFT_FAULT_PLAN` plants faults exactly like the sweep runner);
 //!    every refusal or exact failure degrades to the clamped surrogate
 //!    answer with `degraded: 1` and a `cause`, never an error.
@@ -38,12 +38,12 @@ use std::sync::{mpsc, Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use eft_vqa::advisor::{plan, RegimePlan};
+use eft_vqa::advisor::plan;
 use eft_vqa::fidelity::Workload;
 use eftq_numerics::SeedSequence;
 use eftq_qec::DeviceModel;
 use eftq_sweep::chaos::inject;
-use eftq_sweep::{ArtifactCache, FaultPlan, Row};
+use eftq_sweep::{FaultPlan, Row};
 
 use crate::breaker::CircuitBreaker;
 use crate::http::{
@@ -226,9 +226,6 @@ struct Engine {
     stats: Arc<ServerStats>,
     drain: Arc<AtomicBool>,
     breaker: Mutex<CircuitBreaker>,
-    /// Exact plans keyed by (logical_qubits, device_qubits) — repeat
-    /// queries for a region hit the cache instead of recomputing.
-    exact_cache: ArtifactCache<(i64, i64), RegimePlan>,
     /// Chaos derivation node (same construction as the sweep runner).
     chaos: SeedSequence,
     /// Monotonic request id: the chaos plan's "point id".
@@ -519,12 +516,10 @@ impl Engine {
             if let Some(kind) = fault {
                 inject(kind, request_id, Some(deadline_secs));
             }
-            self.exact_cache.get_or_build((n, dq), || {
-                plan(
-                    &Workload::fche(n as usize, 1),
-                    &DeviceModel::new(dq as usize, crate::index::ADVISOR_P_PHYS),
-                )
-            })
+            plan(
+                &Workload::fche(n as usize, 1),
+                &DeviceModel::new(dq as usize, crate::index::ADVISOR_P_PHYS),
+            )
         }));
         let mut breaker = self.breaker.lock().expect("breaker poisoned");
         match outcome {
@@ -542,9 +537,8 @@ impl Engine {
                 )
             }
             Ok(_) => {
-                // Completed past the deadline (a stall): the result is
-                // cached for the next query, but this response must not
-                // pretend the latency was acceptable.
+                // Completed past the deadline (a stall): this response
+                // must not pretend the latency was acceptable.
                 breaker.record_failure(Instant::now());
                 drop(breaker);
                 self.stats.exact_failures.fetch_add(1, Ordering::Relaxed);
@@ -611,7 +605,6 @@ pub fn serve(index: SurfaceIndex, cfg: ServerConfig) -> Result<ServerHandle, Str
             cfg.breaker_threshold,
             cfg.breaker_cooldown,
         )),
-        exact_cache: ArtifactCache::new(),
         request_ids: AtomicU64::new(0),
         index,
         stats: Arc::clone(&stats),

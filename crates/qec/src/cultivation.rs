@@ -10,10 +10,10 @@
 //! fewer units fit, the per-state latency rises and stalled patches accrue
 //! memory errors.
 //!
-//! Calibration (documented in DESIGN.md): output error 2e-9 at `p = 1e-3`
-//! (the cultivation paper's d=5-grade result), one unit occupies two
-//! distance-`d` patches of working area, an attempt costs `d` cycles, and
-//! the end-to-end acceptance probability is 20%.
+//! Calibration: output error 2e-9 at `p = 1e-3` (the cultivation paper's
+//! d=5-grade result), one unit occupies two distance-`d` patches of
+//! working area, an attempt costs `d` cycles, and the end-to-end
+//! acceptance probability is 20%.
 
 use crate::surface_code::SurfaceCodeModel;
 

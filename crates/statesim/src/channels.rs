@@ -4,7 +4,7 @@
 //! errors are bit-flip + relaxation; idling is relaxation only. pQEC gate
 //! and memory errors are depolarizing; pQEC measurement errors are bit-flip
 //! (Section 5.2.1). All of those are expressible as single-qubit Kraus
-//! channels plus two-qubit Pauli mixtures.
+//! channels plus the two-qubit depolarizing channel.
 
 use eftq_numerics::{Complex, Mat2};
 
@@ -76,19 +76,6 @@ impl KrausChannel {
         KrausChannel::new(vec![
             Mat2::identity().scale(Complex::real((1.0 - p).sqrt())),
             Mat2::pauli_x().scale(Complex::real(p.sqrt())),
-        ])
-    }
-
-    /// Phase-flip (dephasing) channel `ρ → (1−p)ρ + p ZρZ`.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `0 ≤ p ≤ 1`.
-    pub fn phase_flip(p: f64) -> Self {
-        assert!((0.0..=1.0).contains(&p), "probability out of range: {p}");
-        KrausChannel::new(vec![
-            Mat2::identity().scale(Complex::real((1.0 - p).sqrt())),
-            Mat2::pauli_z().scale(Complex::real(p.sqrt())),
         ])
     }
 
@@ -251,7 +238,6 @@ mod tests {
             KrausChannel::identity(),
             KrausChannel::depolarizing(0.1),
             KrausChannel::bit_flip(0.2),
-            KrausChannel::phase_flip(0.3),
             KrausChannel::amplitude_damping(0.4),
             KrausChannel::phase_damping(0.25),
             KrausChannel::thermal_relaxation(100.0, 300.0, 200.0),

@@ -53,21 +53,6 @@ impl DensityMatrix {
         DensityMatrix { n, dim, rho }
     }
 
-    /// The pure-state density matrix `|ψ⟩⟨ψ|`.
-    pub fn from_state_vector(psi: &StateVector) -> Self {
-        let n = psi.num_qubits();
-        assert!(n <= 13, "density matrix supports at most 13 qubits");
-        let dim = 1usize << n;
-        let amps = psi.amplitudes();
-        let mut rho = vec![Complex::ZERO; dim * dim];
-        for r in 0..dim {
-            for c in 0..dim {
-                rho[r * dim + c] = amps[r] * amps[c].conj();
-            }
-        }
-        DensityMatrix { n, dim, rho }
-    }
-
     /// Runs a fully bound circuit noiselessly from `|0…0⟩`.
     pub fn from_circuit(circuit: &Circuit) -> Self {
         let mut rho = DensityMatrix::zero_state(circuit.num_qubits());
@@ -275,49 +260,6 @@ impl DensityMatrix {
         }
     }
 
-    /// Applies a probabilistic Pauli mixture `ρ → Σ_i p_i P_i ρ P_i†`
-    /// (e.g. two-qubit depolarizing noise). Probabilities must sum to ≤ 1;
-    /// the remainder is the identity component.
-    ///
-    /// # Panics
-    ///
-    /// Panics if probabilities are negative or sum above `1 + 1e-9`.
-    pub fn apply_pauli_mixture(&mut self, terms: &[(f64, PauliString)]) {
-        let total: f64 = terms.iter().map(|(p, _)| *p).sum();
-        assert!(
-            terms.iter().all(|(p, _)| *p >= 0.0) && total <= 1.0 + 1e-9,
-            "invalid mixture probabilities (sum {total})"
-        );
-        let id_weight = (1.0 - total).max(0.0);
-        let mut out: Vec<Complex> = self.rho.iter().map(|z| *z * id_weight).collect();
-        for (p, pauli) in terms {
-            assert_eq!(pauli.num_qubits(), self.n, "pauli size mismatch");
-            // P ρ P†: ρ'_{rc} = φ(r) conj(φ(c)) ρ_{σ(r) σ(c)} where
-            // P|b⟩ = φ(b)|b ⊕ x⟩ (σ = ⊕x is an involution).
-            let xm = pauli.x_mask_u64() as usize;
-            let zm = pauli.z_mask_u64() as usize;
-            let base =
-                Complex::i_pow((pauli.phase_exponent() as usize + pauli.y_count()) as u8 % 4);
-            let phase = |b: usize| {
-                let s = if ((b & zm).count_ones() & 1) == 1 {
-                    -1.0
-                } else {
-                    1.0
-                };
-                base * s
-            };
-            for r in 0..self.dim {
-                let fr = phase(r ^ xm);
-                for c in 0..self.dim {
-                    let fc = phase(c ^ xm).conj();
-                    out[r * self.dim + c] +=
-                        fr * fc * self.rho[(r ^ xm) * self.dim + (c ^ xm)] * *p;
-                }
-            }
-        }
-        self.rho = out;
-    }
-
     /// Two-qubit depolarizing channel of strength `p` on `(a, b)`: each of
     /// the 15 non-identity two-qubit Paulis occurs with probability `p/15`.
     ///
@@ -473,16 +415,6 @@ mod tests {
     }
 
     #[test]
-    fn from_state_vector_roundtrip() {
-        let mut c = Circuit::new(2);
-        c.h(0).cx(0, 1);
-        let psi = StateVector::from_circuit(&c);
-        let rho = DensityMatrix::from_state_vector(&psi);
-        assert!((rho.fidelity_with_pure(&psi) - 1.0).abs() < 1e-12);
-        assert!((rho.entry(0, 3).re - 0.5).abs() < 1e-12);
-    }
-
-    #[test]
     fn depolarizing_drives_to_maximally_mixed() {
         let mut rho = DensityMatrix::zero_state(1);
         rho.apply_channel(0, &KrausChannel::depolarizing(1.0));
@@ -539,17 +471,6 @@ mod tests {
         rho.apply_depolarizing_2q(0, 1, 0.15);
         // 2q depol: ⟨P⟩ scales by 1 − 16p/15 for weight-2 P.
         assert!((rho.expectation(&zz) - (1.0 - 16.0 * 0.15 / 15.0)).abs() < 1e-10);
-    }
-
-    #[test]
-    fn pauli_mixture_phase_flip_kills_coherence() {
-        let mut rho = DensityMatrix::zero_state(1);
-        rho.apply_mat2(0, &Mat2::hadamard());
-        let z = PauliString::single(1, 0, eftq_pauli::Pauli::Z);
-        rho.apply_pauli_mixture(&[(0.5, z)]);
-        // 50% phase flip: off-diagonals vanish.
-        assert!(rho.entry(0, 1).abs() < 1e-12);
-        assert!((rho.probability(0) - 0.5).abs() < 1e-12);
     }
 
     #[test]

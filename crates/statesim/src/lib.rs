@@ -7,19 +7,14 @@
 //! the NISQ regime; depolarizing gate/memory errors and bit-flip
 //! measurement errors for the pQEC regime.
 //!
-//! * [`StateVector`] — exact pure-state simulation (noiseless reference and
-//!   expressibility studies).
+//! * [`StateVector`] — exact pure-state simulation (the noiseless
+//!   reference).
 //! * [`DensityMatrix`] — exact open-system simulation via in-place 2×2 /
 //!   4×4 block transforms (no scratch copies of the 4ⁿ-entry matrix).
 //! * [`channels`] — Kraus families: depolarizing, thermal relaxation
-//!   (amplitude + phase damping), bit-flip, and Pauli mixtures.
+//!   (amplitude + phase damping) and bit-flip, with their superoperators.
 //! * [`noise`] — a gate-triggered [`noise::NoiseModel`] plus the layered
 //!   noisy executor that inserts idle errors along the schedule.
-//! * [`trajectory`] — Monte-Carlo pure-state trajectories with sampled
-//!   Pauli errors, bridging the density-matrix (≤13 qubits, exact) and
-//!   stabilizer (Clifford-only) substrates at 13-24 qubits.
-//! * [`readout`] — measurement (readout) error and its inversion-based
-//!   mitigation, the mechanism behind the VarSaw experiment (Figure 15).
 //!
 //! # Examples
 //!
@@ -43,15 +38,9 @@
 pub mod channels;
 pub mod density;
 pub mod noise;
-pub mod readout;
-pub mod sampling;
 pub mod statevector;
-pub mod trajectory;
 
 pub use channels::{apply_superoperator, KrausChannel};
 pub use density::DensityMatrix;
 pub use noise::{NoiseModel, NoisyRunReport};
-pub use readout::ReadoutModel;
-pub use sampling::{estimate_energy_sampled, SampledEnergy};
 pub use statevector::StateVector;
-pub use trajectory::{estimate_energy_trajectories, TrajectoryNoise, TrajectoryRun};

@@ -8,7 +8,6 @@
 
 use crate::channels::KrausChannel;
 use crate::density::DensityMatrix;
-use crate::readout::ReadoutModel;
 use eftq_circuit::{Circuit, Gate};
 
 /// Relaxation (T1/T2) parameters plus operation durations, all in the same
@@ -92,11 +91,6 @@ impl NoiseModel {
             && self.meas_flip == 0.0
             && self.idle_depol == 0.0
             && self.relaxation.is_none()
-    }
-
-    /// The readout model implied by `meas_flip` (symmetric flips).
-    pub fn readout_model(&self, n: usize) -> ReadoutModel {
-        ReadoutModel::uniform(n, self.meas_flip, self.meas_flip)
     }
 }
 
@@ -399,14 +393,5 @@ mod tests {
         let (rho, report) = run_noisy(&c, &noise);
         assert_eq!(report.channel_applications, 0);
         assert!((rho.probability(0) - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn readout_model_from_noise() {
-        let mut noise = NoiseModel::noiseless();
-        noise.meas_flip = 0.03;
-        let m = noise.readout_model(2);
-        assert_eq!(m.num_qubits(), 2);
-        assert!((m.flip_probabilities(0).0 - 0.03).abs() < 1e-12);
     }
 }

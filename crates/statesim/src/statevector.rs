@@ -3,7 +3,6 @@
 use eftq_circuit::{Circuit, Gate};
 use eftq_numerics::{Complex, Mat2};
 use eftq_pauli::{PauliString, PauliSum};
-use rand::Rng;
 
 /// A pure state of `n ≤ 26` qubits. Basis index bit `q` is qubit `q`
 /// (qubit 0 = least significant bit), matching `eftq-pauli`'s convention.
@@ -39,8 +38,7 @@ impl StateVector {
         StateVector { n, amps }
     }
 
-    /// Runs a fully bound circuit from `|0…0⟩` (measurements are ignored —
-    /// use [`StateVector::sample`] afterwards).
+    /// Runs a fully bound circuit from `|0…0⟩` (measurements are ignored).
     ///
     /// # Panics
     ///
@@ -147,14 +145,6 @@ impl StateVector {
         }
     }
 
-    /// Applies a Pauli string (including its phase) to the state.
-    pub fn apply_pauli(&mut self, p: &PauliString) {
-        assert_eq!(p.num_qubits(), self.n, "pauli size mismatch");
-        let mut out = vec![Complex::ZERO; self.amps.len()];
-        p.accumulate_apply(Complex::ONE, &self.amps, &mut out);
-        self.amps = out;
-    }
-
     /// Applies one bound gate (measurements are no-ops here).
     ///
     /// # Panics
@@ -193,37 +183,12 @@ impl StateVector {
     pub fn expectation_pauli(&self, p: &PauliString) -> f64 {
         p.expectation(&self.amps).re
     }
-
-    /// Samples a computational-basis outcome.
-    pub fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> usize {
-        let r: f64 = rng.gen();
-        let mut acc = 0.0;
-        for (b, a) in self.amps.iter().enumerate() {
-            acc += a.norm_sqr();
-            if r < acc {
-                return b;
-            }
-        }
-        self.amps.len() - 1
-    }
-
-    /// Renormalizes the state (guards against drift in long circuits).
-    pub fn normalize(&mut self) {
-        let n = self.norm_sqr().sqrt();
-        if n > 0.0 {
-            for a in &mut self.amps {
-                *a *= 1.0 / n;
-            }
-        }
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use eftq_circuit::ansatz;
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
 
     #[test]
     fn zero_state_probabilities() {
@@ -280,36 +245,12 @@ mod tests {
     }
 
     #[test]
-    fn apply_pauli_matches_gates() {
-        let mut a = StateVector::zero_state(2);
-        a.apply_h(0);
-        let mut b = a.clone();
-        // X₀Z₁ as Pauli string vs as gates.
-        a.apply_pauli(&"XZ".parse().unwrap());
-        let mut c = Circuit::new(2);
-        c.x(0).z(1);
-        b.run(&c);
-        assert!((a.fidelity(&b) - 1.0).abs() < 1e-10);
-    }
-
-    #[test]
     fn fidelity_of_orthogonal_states() {
         let z = StateVector::zero_state(1);
         let mut o = StateVector::zero_state(1);
         o.apply_mat2(0, &Mat2::pauli_x());
         assert!(z.fidelity(&o) < 1e-15);
         assert!((z.fidelity(&z) - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn sampling_distribution() {
-        let mut c = Circuit::new(1);
-        c.h(0);
-        let s = StateVector::from_circuit(&c);
-        let mut rng = StdRng::seed_from_u64(3);
-        let ones: usize = (0..2000).map(|_| s.sample(&mut rng)).sum();
-        let frac = ones as f64 / 2000.0;
-        assert!((frac - 0.5).abs() < 0.05, "{frac}");
     }
 
     #[test]

@@ -3,11 +3,11 @@
 //!
 //! This mirrors the paper's chemistry benchmarks (Section 5.1.2) — H₂O,
 //! H₆ and LiH at 1 Å and 4.5 Å — using the synthetic molecular-structure
-//! generator (see DESIGN.md for the PySCF substitution). The 12-qubit
-//! density matrix is too slow for a demo, so we follow the paper's
-//! large-system methodology (Section 5.2.2): restrict rotations to
-//! multiples of π/2 and search the Clifford space with a genetic
-//! algorithm on the stabilizer simulator.
+//! generator (see `eft_vqa::hamiltonians` for the PySCF substitution).
+//! The 12-qubit density matrix is too slow for a demo, so we follow the
+//! paper's large-system methodology (Section 5.2.2): restrict rotations to
+//! multiples of π/2 and search the Clifford space with a genetic algorithm
+//! on the stabilizer simulator.
 //!
 //! ```sh
 //! cargo run --release --example chemistry_dissociation

@@ -10,7 +10,7 @@
 //! This crate stitches the workspace together for consumers that want a
 //! single dependency: every library layer is re-exported under its crate
 //! name, with [`core`] aliasing the paper's top-level `eft_vqa` crate.
-//! The repo-root `tests/` (five cross-crate suites, including the
+//! The repo-root `tests/` (eleven cross-crate suites, including the
 //! paper-number assertions) and `examples/` (seven runnable demos) are
 //! this package's integration tests and examples; see the top-level
 //! `README.md` for the crate map and the figure→binary index.

@@ -160,3 +160,53 @@ fn noisy_dm_and_noisy_stabilizer_agree_on_depolarized_bell_zz() {
         mc.energy
     );
 }
+
+#[test]
+fn noisy_dm_and_noisy_stabilizer_agree_on_clifford_fche() {
+    // The same Pauli noise on both substrates: single-qubit depolarizing
+    // on every rotation site, two-qubit depolarizing on each of the ten
+    // entangler CNOTs, and (1 − 2p)^weight readout damping. Every rate is
+    // set explicitly rather than taken from a regime preset, whose pQEC
+    // model charges injection error on different rotation sites in the
+    // two substrates.
+    let ansatz = fully_connected_hea(5, 1);
+    let ks: Vec<u8> = (0..ansatz.num_params())
+        .map(|i| ((2 * i + 1) % 4) as u8)
+        .collect();
+    let circuit = ansatz.bind_clifford(&ks);
+    let h = eft_vqa::hamiltonians::heisenberg_1d(5, 1.0);
+    let (p_1q, p_2q, p_meas) = (0.004, 0.01, 0.01);
+
+    let mut dm_noise = eftq_statesim::noise::NoiseModel::noiseless();
+    dm_noise.depol_1q = p_1q;
+    dm_noise.depol_rz = p_1q;
+    dm_noise.depol_rot_xy = p_1q;
+    dm_noise.depol_2q = p_2q;
+    dm_noise.meas_flip = p_meas;
+    let (rho, _) = eftq_statesim::noise::run_noisy(&circuit, &dm_noise);
+    let exact = eft_vqa::varsaw::measured_energy(&rho, &h, p_meas, false);
+
+    let mut st_noise = StabilizerNoise::noiseless();
+    st_noise.depol_1q = p_1q;
+    st_noise.depol_rz = p_1q;
+    st_noise.depol_rot_xy = p_1q;
+    st_noise.depol_2q = p_2q;
+    st_noise.meas_flip = p_meas;
+    let mc = estimate_energy(&circuit, &h, &st_noise, 4000, SeedSequence::new(5));
+
+    let sigma = mc.std_error;
+    assert!(sigma > 0.0, "a noisy estimate has shot noise");
+    assert!(
+        (mc.energy - exact).abs() < 4.0 * sigma,
+        "stabilizer {} ± {sigma} vs density matrix {exact}",
+        mc.energy
+    );
+    // The agreement is only evidence if the noise moves the energy: the
+    // noiseless value must lie far outside the shot-noise band.
+    let noiseless = StateVector::from_circuit(&circuit).expectation(&h);
+    assert!(
+        (exact - noiseless).abs() > 10.0 * sigma,
+        "noise shifts the energy by only {} (σ = {sigma})",
+        exact - noiseless
+    );
+}

@@ -1,5 +1,7 @@
 //! Integration tests for the extensions built from the paper's discussion
-//! and future-work sections (DESIGN.md "Extensions" table).
+//! and future-work sections: zero-noise extrapolation under pQEC, the
+//! Optimal-Parameter-Resilience transfer, multi-round injection and the
+//! lattice-surgery event timeline.
 
 use eft_vqa::hamiltonians::ising_1d;
 use eft_vqa::opr::parameter_transfer;
@@ -7,16 +9,10 @@ use eft_vqa::vqe::VqeConfig;
 use eft_vqa::zne::{energy_at_scale, zne_energy};
 use eft_vqa::ExecutionRegime;
 use eftq_circuit::ansatz::fully_connected_hea;
-use eftq_circuit::qasm::to_qasm;
 use eftq_circuit::AnsatzKind;
-use eftq_layout::grid::{PatchGrid, TileRole};
 use eftq_layout::timeline::ansatz_timeline;
 use eftq_layout::ScheduleConfig;
-use eftq_numerics::SeedSequence;
 use eftq_qec::{InjectionModel, MultiRoundInjection};
-use eftq_statesim::sampling::estimate_energy_sampled;
-use eftq_statesim::trajectory::{estimate_energy_trajectories, TrajectoryNoise};
-use eftq_statesim::{ReadoutModel, StateVector};
 
 /// ZNE composes with pQEC: extrapolating the injected-rotation channel
 /// recovers most of the noiseless energy.
@@ -66,65 +62,6 @@ fn multi_round_injection_improves_pqec_budget() {
     assert!(budget_three < budget_base / 3.0);
 }
 
-/// Sampled estimation through readout error + mitigation matches the
-/// exact value within shot noise.
-#[test]
-fn sampled_estimation_pipeline() {
-    let a = fully_connected_hea(4, 1);
-    let params: Vec<f64> = (0..a.num_params()).map(|i| 0.23 * i as f64).collect();
-    let psi = StateVector::from_circuit(&a.bind(&params));
-    let h = ising_1d(4, 1.0);
-    let exact = psi.expectation(&h);
-    let model = ReadoutModel::uniform(4, 0.05, 0.05);
-    let mut rng = SeedSequence::new(77).rng();
-    let est = estimate_energy_sampled(&psi, &h, 8000, Some(&model), true, &mut rng);
-    assert!(
-        (est.energy - exact).abs() < 0.15,
-        "{} vs {exact}",
-        est.energy
-    );
-    assert!(est.groups >= 2);
-}
-
-/// Trajectory sampling agrees with the regime's stabilizer Monte-Carlo on
-/// a Clifford-bound ansatz (two independent noisy substrates, same
-/// channel semantics).
-#[test]
-fn trajectory_agrees_with_stabilizer_on_clifford_circuit() {
-    let a = fully_connected_hea(5, 1);
-    let ks: Vec<u8> = (0..a.num_params())
-        .map(|i| ((i * 2 + 1) % 4) as u8)
-        .collect();
-    let circuit = a.bind_clifford(&ks);
-    let h = ising_1d(5, 0.5);
-    let regime = ExecutionRegime::pqec_default();
-    let st = eftq_stabilizer::estimate_energy(
-        &circuit,
-        &h,
-        &regime.stabilizer_noise(),
-        3000,
-        SeedSequence::new(5),
-    );
-    let sn = regime.stabilizer_noise();
-    let tn = TrajectoryNoise {
-        depol_1q: sn.depol_1q,
-        depol_2q: sn.depol_2q,
-        depol_rz: sn.depol_rz,
-        depol_rot_xy: sn.depol_rot_xy,
-        meas_flip: sn.meas_flip,
-    };
-    let tr = estimate_energy_trajectories(&circuit, &h, &tn, 3000, SeedSequence::new(6));
-    // Idle noise differs (trajectory has none), but pQEC idle rates are
-    // ~1e-7 — negligible against the shot noise.
-    let tol = 4.0 * (st.std_error + tr.std_error) + 0.02;
-    assert!(
-        (st.energy - tr.energy).abs() < tol,
-        "stabilizer {} vs trajectory {} (tol {tol})",
-        st.energy,
-        tr.energy
-    );
-}
-
 /// The event timeline's makespan matches the closed-form scheduler and
 /// its per-op volume is self-consistent.
 #[test]
@@ -135,18 +72,4 @@ fn timeline_consistency() {
     assert!(t.operation_volume() > 0);
     let tiles = eftq_layout::LayoutModel::proposed().total_tiles(20);
     assert!(t.envelope_volume(tiles) >= 71 * tiles);
-}
-
-/// The placed grid and the QASM exporter round out the toolchain story:
-/// build an ansatz for a layout, export it.
-#[test]
-fn layout_to_qasm_workflow() {
-    let grid = PatchGrid::for_qubits(12);
-    let capacity = grid.count(TileRole::Data);
-    assert!(capacity >= 12);
-    let a = fully_connected_hea(12, 1);
-    let bound = a.circuit().bind_all(0.4);
-    let qasm = to_qasm(&bound).unwrap();
-    assert!(qasm.contains("qreg q[12];"));
-    assert!(qasm.matches("cx ").count() == 66);
 }
