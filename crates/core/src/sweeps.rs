@@ -63,13 +63,15 @@ fn clifford_sizes(full_scale: bool, full: &[i64], reduced: &[i64]) -> Vec<i64> {
 
 /// The shared GA configuration of the Clifford-VQE figures (12 and 14):
 /// a small search budget by default, the paper-scale budget under
-/// `EFT_FULL=1`.
+/// `EFT_FULL=1`. The search runs on its grid point's thread (the
+/// default single GA thread): points are the only parallel unit, so the
+/// runner's `--threads` and the farm's workers fill the cores without
+/// nesting a second pool per point.
 fn clifford_figure_config(full_scale: bool) -> CliffordVqeConfig {
     CliffordVqeConfig {
         ga: GeneticConfig {
             population: if full_scale { 32 } else { 16 },
             generations: if full_scale { 40 } else { 16 },
-            threads: 4,
             ..GeneticConfig::default()
         },
         shots: if full_scale { 16 } else { 6 },

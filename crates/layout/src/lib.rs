@@ -32,6 +32,6 @@ pub mod timeline;
 
 pub use grid::{PatchGrid, TileRole};
 pub use layouts::{LayoutKind, LayoutModel};
-pub use schedule::{schedule_ansatz, schedule_circuit, ScheduleConfig, ScheduleReport};
+pub use schedule::{schedule_ansatz, ScheduleConfig, ScheduleReport};
 pub use shuffling::{naive_backup_volume, patch_shuffling_volume, RotationStrategyReport};
 pub use timeline::{ansatz_timeline, Event, EventKind, Timeline};

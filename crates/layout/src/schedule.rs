@@ -20,7 +20,7 @@
 //! exactly the cycle counts of Table 2.
 
 use crate::layouts::{LayoutKind, LayoutModel};
-use eftq_circuit::{AnsatzKind, Circuit, Gate};
+use eftq_circuit::AnsatzKind;
 use serde::{Deserialize, Serialize};
 
 /// The lattice-surgery cost constants (Figure 9).
@@ -28,8 +28,6 @@ use serde::{Deserialize, Serialize};
 pub struct ScheduleConfig {
     /// Cycles for an in-row fan-out CNOT cluster (Figure 9(A)).
     pub cluster_cycles: usize,
-    /// Cycles for a cross-row CNOT cluster (Figure 9(B)).
-    pub cross_row_cluster_cycles: usize,
     /// Alignment cycles between consecutive clusters inside a block.
     pub in_block_alignment: usize,
     /// Alignment cycles between consecutive cross-row clusters.
@@ -42,7 +40,6 @@ impl Default for ScheduleConfig {
     fn default() -> Self {
         ScheduleConfig {
             cluster_cycles: 4,
-            cross_row_cluster_cycles: 8,
             in_block_alignment: 1,
             cross_row_alignment: 3,
             final_fixup: 1,
@@ -150,109 +147,9 @@ pub fn spacetime_ratio(kind: AnsatzKind, n: usize, depth: usize, baseline: Layou
     other.spacetime_volume() / ours.spacetime_volume()
 }
 
-/// Generic critical-path scheduler for an arbitrary bound circuit on a
-/// layout: consecutive CNOTs sharing a control fuse into fan-out clusters;
-/// cluster cost depends on whether the targets stay within the control's
-/// row neighbourhood in the Figure-3 row assignment; rotations are
-/// pipelined through the layout's injection sites (each site sustains one
-/// rotation per consumption window, so a rotation burst beyond the site
-/// count stalls the path); measurements close the schedule with one cycle.
-///
-/// This is an *approximate* scheduler for workloads without a closed form;
-/// the per-ansatz schedules above are exact for Table 2.
-pub fn schedule_circuit(
-    circuit: &Circuit,
-    layout: &LayoutModel,
-    cfg: &ScheduleConfig,
-) -> ScheduleReport {
-    let n = circuit.num_qubits();
-    let k = LayoutModel::block_parameter_for(n);
-    let row = |q: usize| q / k.max(1); // Figure-3 row assignment
-    let mut cycles = 0usize;
-    let mut clusters = 0usize;
-    let mut rotations = 0usize;
-    let mut pending_rotations = 0usize;
-    let sites = layout.parallel_injection_sites(n);
-    let consumption_window = cfg.cluster_cycles; // overlapped with surgery
-    let mut measured = false;
-
-    let mut i = 0;
-    let gates = circuit.gates();
-    while i < gates.len() {
-        match gates[i] {
-            Gate::Cx(c, _) => {
-                // Fuse the run of CNOTs sharing this control.
-                let mut max_row_gap = 0usize;
-                let mut j = i;
-                while j < gates.len() {
-                    if let Gate::Cx(c2, t2) = gates[j] {
-                        if c2 != c {
-                            break;
-                        }
-                        max_row_gap = max_row_gap.max(row(t2).abs_diff(row(c)));
-                        j += 1;
-                    } else {
-                        break;
-                    }
-                }
-                let cluster_cost = if max_row_gap <= 1 {
-                    cfg.cluster_cycles
-                } else {
-                    cfg.cross_row_cluster_cycles
-                };
-                let alignment = if clusters == 0 {
-                    0
-                } else if max_row_gap <= 1 {
-                    cfg.in_block_alignment
-                } else {
-                    cfg.cross_row_alignment
-                };
-                cycles += cluster_cost + alignment;
-                clusters += 1;
-                // Rotations accumulated since the last cluster drain
-                // through the injection sites in parallel with surgery.
-                let waves = pending_rotations.div_ceil(sites.max(1));
-                cycles += waves.saturating_sub(1) * consumption_window;
-                pending_rotations = 0;
-                i = j;
-            }
-            Gate::Cz(..) | Gate::Swap(..) => {
-                cycles += cfg.cross_row_cluster_cycles;
-                clusters += 1;
-                i += 1;
-            }
-            Gate::Rz(..) | Gate::Rx(..) | Gate::Ry(..) => {
-                rotations += 1;
-                pending_rotations += 1;
-                i += 1;
-            }
-            Gate::Measure(_) => {
-                measured = true;
-                i += 1;
-            }
-            _ => {
-                // Transversal single-qubit Cliffords ride along for free.
-                i += 1;
-            }
-        }
-    }
-    let waves = pending_rotations.div_ceil(sites.max(1));
-    cycles += waves * consumption_window.max(1) * usize::from(pending_rotations > 0)
-        + usize::from(measured);
-    let _ = waves;
-    let cycles = (cycles as f64 * layout.time_multiplier()).round() as usize;
-    ScheduleReport {
-        cycles,
-        tiles: layout.total_tiles(n),
-        clusters,
-        rotations,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use eftq_circuit::ansatz;
 
     fn cfg() -> ScheduleConfig {
         ScheduleConfig::default()
@@ -369,35 +266,6 @@ mod tests {
                 f.cycles
             );
         }
-    }
-
-    #[test]
-    fn generic_scheduler_on_fche_circuit() {
-        let a = ansatz::fully_connected_hea(12, 1);
-        let bound = a.circuit().bind_all(0.3);
-        let ours = LayoutModel::proposed();
-        let r = schedule_circuit(&bound, &ours, &cfg());
-        assert!(r.cycles > 0);
-        assert_eq!(r.rotations, a.num_params());
-        // Same circuit on Grid costs more volume.
-        let g = schedule_circuit(&bound, &LayoutModel::baseline(LayoutKind::Grid), &cfg());
-        assert!(g.spacetime_volume() > r.spacetime_volume());
-    }
-
-    #[test]
-    fn generic_scheduler_monotone_in_depth() {
-        let ours = LayoutModel::proposed();
-        let short = schedule_circuit(
-            &ansatz::linear_hea(8, 1).circuit().bind_all(0.1),
-            &ours,
-            &cfg(),
-        );
-        let long = schedule_circuit(
-            &ansatz::linear_hea(8, 3).circuit().bind_all(0.1),
-            &ours,
-            &cfg(),
-        );
-        assert!(long.cycles > short.cycles);
     }
 
     #[test]

@@ -28,7 +28,10 @@ pub struct GeneticConfig {
     pub tournament: usize,
     /// Individuals copied unchanged into the next generation.
     pub elites: usize,
-    /// Worker threads for fitness evaluation (1 = sequential).
+    /// Worker threads for fitness evaluation (1 = sequential, the
+    /// default). For a single search that owns the machine; callers that
+    /// already run many searches in parallel (the Figure-12/14 sweep
+    /// drivers, one search per grid point) keep 1.
     pub threads: usize,
     /// Root seed.
     pub seed: u64,

@@ -30,18 +30,18 @@ use rand::Rng;
 
 const WORD_BITS: usize = 64;
 
-/// `v[dst·words + w] ^= v[src·words + w]` for two distinct columns of a
-/// column-major plane, borrow-split so the word kernel applies.
-#[inline]
-fn xor_col(v: &mut [u64], src: usize, dst: usize, cwords: usize) {
-    debug_assert_ne!(src, dst);
-    let (sb, db) = (src * cwords, dst * cwords);
-    if sb < db {
-        let (head, tail) = v.split_at_mut(db);
-        words::xor_into(&mut tail[..cwords], &head[sb..sb + cwords]);
-    } else {
-        let (head, tail) = v.split_at_mut(sb);
-        words::xor_into(&mut head[db..db + cwords], &tail[..cwords]);
+/// CX conjugation through `pairs` in order, on `w`-word qubit columns of
+/// the X and Z planes: `fx[t] ^= fx[c]` and `fz[c] ^= fz[t]` per
+/// `[c, t]` pair. Always inlined, so a call with a constant `w` compiles
+/// to a straight run of word XORs per pair.
+#[inline(always)]
+fn cx_run(fx: &mut [u64], fz: &mut [u64], w: usize, pairs: &[[u32; 2]]) {
+    for &[c, t] in pairs {
+        let (c, t) = (c as usize * w, t as usize * w);
+        for i in 0..w {
+            fx[t + i] ^= fx[c + i];
+            fz[c + i] ^= fz[t + i];
+        }
     }
 }
 
@@ -101,7 +101,7 @@ impl PauliFrames {
             Gate::H(q) => self.kernel_hadamard(q),
             Gate::S(q) | Gate::Sdg(q) => self.kernel_phase(q),
             Gate::X(_) | Gate::Y(_) | Gate::Z(_) | Gate::Measure(_) => {}
-            Gate::Cx(c, t) => self.kernel_cx(c, t),
+            Gate::Cx(c, t) => self.kernel_cx_run(&[[c as u32, t as u32]]),
             Gate::Cz(a, b) => self.kernel_cz(a, b),
             Gate::Swap(a, b) => self.kernel_swap(a, b),
             Gate::Rz(q, Angle::Value(v)) => {
@@ -148,11 +148,19 @@ impl PauliFrames {
         words::xor_into(&mut self.fx[b..b + self.words], &self.fz[b..b + self.words]);
     }
 
-    /// CX-conjugation kernel.
-    #[inline]
-    pub(crate) fn kernel_cx(&mut self, c: usize, t: usize) {
-        xor_col(&mut self.fx, c, t, self.words);
-        xor_col(&mut self.fz, t, c, self.words);
+    /// CX-conjugation kernel over a run of `[control, target]` pairs,
+    /// applied in order. A batch of at most 256 shots has 1–4 lane words,
+    /// and each of those widths runs its own copy of the body with the
+    /// width a constant; wider frames run the same body at run-time width.
+    pub(crate) fn kernel_cx_run(&mut self, pairs: &[[u32; 2]]) {
+        let (fx, fz) = (&mut self.fx[..], &mut self.fz[..]);
+        match self.words {
+            1 => cx_run(fx, fz, 1, pairs),
+            2 => cx_run(fx, fz, 2, pairs),
+            3 => cx_run(fx, fz, 3, pairs),
+            4 => cx_run(fx, fz, 4, pairs),
+            w => cx_run(fx, fz, w, pairs),
+        }
     }
 
     /// CZ-conjugation kernel.
@@ -566,6 +574,56 @@ mod tests {
         d.inject(0, 0, Pauli::X);
         d.apply_gate(&Gate::Ry(0, Angle::Value(std::f64::consts::PI)));
         assert_eq!(d.frame(0), pauli("X"));
+    }
+
+    #[test]
+    fn cx_run_equals_gate_by_gate_at_every_lane_width() {
+        // 1–5 lane words: the four specialized widths, ragged tails and
+        // the run-time-width body. Pairs repeat and point both ways.
+        let n = 7;
+        let pairs: Vec<[u32; 2]> = vec![
+            [0, 1],
+            [3, 2],
+            [0, 1],
+            [6, 0],
+            [2, 5],
+            [5, 2],
+            [1, 4],
+            [1, 4],
+            [4, 6],
+        ];
+        let mut rng = StdRng::seed_from_u64(21);
+        for shots in [1usize, 64, 65, 129, 193, 256, 300] {
+            let mut start = PauliFrames::new(n, shots);
+            let tail = match shots % WORD_BITS {
+                0 => !0,
+                r => (1u64 << r) - 1,
+            };
+            for (i, w) in start.fx.iter_mut().chain(start.fz.iter_mut()).enumerate() {
+                let last = i % start.words == start.words - 1;
+                *w = rng.gen::<u64>() & if last { tail } else { !0 };
+            }
+            let mut fused = start.clone();
+            fused.kernel_cx_run(&pairs);
+            let mut stepped = start.clone();
+            for &[c, t] in &pairs {
+                stepped.apply_gate(&Gate::Cx(c as usize, t as usize));
+            }
+            assert_eq!(fused, stepped, "{shots} shots");
+            assert_ne!(fused, start, "{shots} shots: the run must act");
+            // And both equal CX conjugation letter by letter.
+            for s in 0..shots {
+                let f = start.frame(s);
+                let mut letters: Vec<Pauli> = (0..n).map(|q| f.pauli_at(q)).collect();
+                for &[c, t] in &pairs {
+                    let (lc, lt) = (letters[c as usize], letters[t as usize]);
+                    letters[t as usize] = Pauli::from_bits(lt.x_bit() ^ lc.x_bit(), lt.z_bit());
+                    letters[c as usize] = Pauli::from_bits(lc.x_bit(), lc.z_bit() ^ lt.z_bit());
+                }
+                let want = PauliString::from_paulis(letters);
+                assert_eq!(fused.frame(s), want, "{shots} shots, shot {s}");
+            }
+        }
     }
 
     #[test]
