@@ -120,19 +120,6 @@ impl PatchGrid {
     pub fn packing_efficiency(&self) -> f64 {
         self.count(TileRole::Data) as f64 / self.total_tiles() as f64
     }
-
-    /// The grid position of logical data qubit `q` (row-major over the
-    /// four data rows, matching the Figure-3 numbering 0..4k+3).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `q ≥ 4k + 4`.
-    pub fn data_position(&self, q: usize) -> (usize, usize) {
-        assert!(q < 4 * self.k + 4, "data qubit {q} out of range");
-        let per_row = self.k + 1;
-        let data_rows = [0usize, 2, 3, 5];
-        (data_rows[q / per_row], q % per_row)
-    }
 }
 
 impl fmt::Display for PatchGrid {
@@ -183,15 +170,6 @@ mod tests {
             }
         }
         assert_eq!(grid.count(TileRole::Magic), 6); // 2⌊9/3⌋
-    }
-
-    #[test]
-    fn data_positions_are_data_tiles() {
-        let grid = PatchGrid::figure3(4);
-        for q in 0..20 {
-            let (r, c) = grid.data_position(q);
-            assert_eq!(grid.role(r, c), TileRole::Data, "qubit {q} at ({r},{c})");
-        }
     }
 
     #[test]

@@ -66,11 +66,6 @@ impl ScheduleReport {
     pub fn spacetime_volume(&self) -> f64 {
         self.cycles as f64 * self.tiles as f64
     }
-
-    /// Spacetime volume in physical qubit-cycles at code distance `d`.
-    pub fn physical_spacetime_volume(&self, distance: usize) -> f64 {
-        self.spacetime_volume() * (2 * distance * distance - 1) as f64
-    }
 }
 
 /// Per-layer critical-path cycles of an ansatz on the *proposed* layout.
@@ -266,15 +261,5 @@ mod tests {
                 f.cycles
             );
         }
-    }
-
-    #[test]
-    fn physical_volume_scales_with_distance() {
-        let ours = LayoutModel::proposed();
-        let r = schedule_ansatz(AnsatzKind::FullyConnectedHea, 20, 1, &ours, &cfg());
-        let v11 = r.physical_spacetime_volume(11);
-        let v7 = r.physical_spacetime_volume(7);
-        assert!(v11 > v7);
-        assert!((v11 / r.spacetime_volume() - 241.0).abs() < 1e-9);
     }
 }

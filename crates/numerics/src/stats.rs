@@ -103,15 +103,6 @@ impl Geometric {
         (1.0 + (1.0 - self.p).sqrt()) / self.p
     }
 
-    /// `P[X ≤ k]` for a real-valued budget `k` (uses `floor(k)` trials):
-    /// `1 - (1-p)^{⌊k⌋}`.
-    pub fn cdf(&self, k: f64) -> f64 {
-        if k < 1.0 {
-            return 0.0;
-        }
-        1.0 - (1.0 - self.p).powf(k.floor())
-    }
-
     /// The "high probability" of the paper's Section-9 proof:
     /// `P[X ≤ E[X] + σ[X]]` computed with the *real-valued* exponent
     /// `1 - (1-p)^{N_trials}` exactly as Equation (5)'s surrounding text does
@@ -179,9 +170,6 @@ mod tests {
         let g = Geometric::new(0.5);
         assert_eq!(g.expectation(), 2.0);
         assert_eq!(g.variance(), 2.0);
-        assert!((g.cdf(1.0) - 0.5).abs() < 1e-12);
-        assert!((g.cdf(2.0) - 0.75).abs() < 1e-12);
-        assert_eq!(g.cdf(0.5), 0.0);
     }
 
     /// The exact numbers quoted in Section 9 of the paper for d = 11 and

@@ -118,12 +118,6 @@ impl PauliSum {
         }
     }
 
-    /// Sum of |c_k| — an upper bound on the spectral radius, used to scale
-    /// energy errors.
-    pub fn one_norm(&self) -> f64 {
-        self.terms.iter().map(|t| t.coefficient.abs()).sum()
-    }
-
     /// Applies the observable to a state vector: `out += H |state⟩`.
     ///
     /// # Panics
@@ -242,13 +236,6 @@ impl PauliSum {
         }
         acc.values().all(|(c, _)| c.abs() < 1e-10)
     }
-
-    /// Maximum eigenvalue via Lanczos on −H (useful for energy spreads).
-    pub fn max_energy_default(&self) -> Result<f64, eftq_numerics::LanczosError> {
-        let mut flipped = self.clone();
-        flipped.scale(-1.0);
-        Ok(-flipped.ground_energy_default()?)
-    }
 }
 
 impl fmt::Display for PauliSum {
@@ -321,13 +308,6 @@ mod tests {
     }
 
     #[test]
-    fn max_energy_is_negated_ground_of_flip() {
-        let h = two_qubit_tfim();
-        let emax = h.max_energy_default().unwrap();
-        assert!((emax - 5.0f64.sqrt()).abs() < 1e-8, "{emax}");
-    }
-
-    #[test]
     fn simplify_merges_and_prunes() {
         let mut h = PauliSum::new(2);
         h.push_str(0.5, "XX");
@@ -357,11 +337,13 @@ mod tests {
     }
 
     #[test]
-    fn one_norm_and_scale() {
+    fn scale_multiplies_every_coefficient() {
         let mut h = two_qubit_tfim();
-        assert!((h.one_norm() - 3.0).abs() < 1e-12);
+        let before: Vec<f64> = h.terms().iter().map(|t| t.coefficient).collect();
         h.scale(2.0);
-        assert!((h.one_norm() - 6.0).abs() < 1e-12);
+        for (t, c) in h.terms().iter().zip(before) {
+            assert_eq!(t.coefficient, 2.0 * c);
+        }
     }
 
     #[test]

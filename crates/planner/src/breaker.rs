@@ -96,11 +96,6 @@ impl CircuitBreaker {
         }
     }
 
-    /// Whether the breaker currently rejects exact attempts at `now`.
-    pub fn is_open(&self, now: Instant) -> bool {
-        matches!(self.state, State::Open { until } if now < until) || self.state == State::HalfOpen
-    }
-
     /// Times the breaker has tripped since construction.
     pub fn trips(&self) -> u64 {
         self.trips

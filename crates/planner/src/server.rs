@@ -95,8 +95,6 @@ pub struct ServerConfig {
     /// Chaos faults planted into exact-compute requests (request
     /// counter plays the point id). `None` in production.
     pub fault_plan: Option<FaultPlan>,
-    /// Seed of the chaos derivation node.
-    pub seed: u64,
 }
 
 impl Default for ServerConfig {
@@ -111,7 +109,6 @@ impl Default for ServerConfig {
             breaker_threshold: 3,
             breaker_cooldown: Duration::from_secs(2),
             fault_plan: None,
-            seed: eftq_sweep::DEFAULT_SWEEP_SEED,
         }
     }
 }
@@ -598,7 +595,7 @@ pub fn serve(index: SurfaceIndex, cfg: ServerConfig) -> Result<ServerHandle, Str
     let request_seconds = metrics.histogram("planner_request_seconds");
     let queue_depth = metrics.gauge("planner_queue_depth");
     let engine = Arc::new(Engine {
-        chaos: SeedSequence::new(cfg.seed)
+        chaos: SeedSequence::new(eftq_sweep::DEFAULT_SWEEP_SEED)
             .derive("planner")
             .derive("~chaos"),
         breaker: Mutex::new(CircuitBreaker::new(

@@ -167,26 +167,6 @@ impl Surface {
         }
         Lookup { value, clamped }
     }
-
-    /// The nearest sampled grid coordinates to `query` (for snapping an
-    /// exact recomputation onto cacheable grid points).
-    pub fn snap(&self, query: &[f64]) -> Vec<f64> {
-        self.axes
-            .iter()
-            .zip(query)
-            .map(|(axis, &q)| {
-                *axis
-                    .values
-                    .iter()
-                    .min_by(|a, b| {
-                        let da = (**a - q).abs();
-                        let db = (**b - q).abs();
-                        da.partial_cmp(&db).unwrap_or(std::cmp::Ordering::Equal)
-                    })
-                    .expect("surface axes are non-empty")
-            })
-            .collect()
-    }
 }
 
 /// A metric fitted over a sweep grid: one [`Surface`] per combination
@@ -379,8 +359,6 @@ mod tests {
         assert_eq!((below.value, below.clamped), (0.0, true));
         let above = s.eval(&[25.0]);
         assert_eq!((above.value, above.clamped), (10.0, true));
-        assert_eq!(s.snap(&[-5.0]), vec![0.0]);
-        assert_eq!(s.snap(&[8.0]), vec![10.0]);
     }
 
     #[test]

@@ -54,11 +54,6 @@ impl FactoryConfig {
         (self.output_error_at_1e3 * (p_phys / 1e-3).powi(3)).min(1.0)
     }
 
-    /// How many copies of this factory fit in `budget` physical qubits.
-    pub fn copies_in(&self, budget: usize) -> usize {
-        budget / self.physical_qubits
-    }
-
     /// Aggregate T-state production rate (states per cycle) of `copies`
     /// factories.
     pub fn production_rate(&self, copies: usize) -> f64 {
@@ -160,10 +155,8 @@ mod tests {
     #[test]
     fn copies_and_production_rate() {
         let f = &FACTORY_CATALOG[0];
-        assert_eq!(f.copies_in(10_000), 12);
         let rate = f.production_rate(2);
         assert!((rate - 2.0 / 22.0).abs() < 1e-12);
-        assert_eq!(f.copies_in(100), 0);
     }
 
     #[test]

@@ -72,12 +72,6 @@ impl SurfaceCodeModel {
         SUPPRESSION_PREFACTOR * (self.p_phys / THRESHOLD).powf((self.distance as f64 + 1.0) / 2.0)
     }
 
-    /// Logical error probability accumulated over `cycles` code cycles
-    /// (linearized: `p_L · cycles / d`).
-    pub fn memory_error_over(&self, cycles: f64) -> f64 {
-        (self.logical_error_rate() * cycles / self.distance as f64).min(1.0)
-    }
-
     /// Physical qubits per patch: `d²` data + `d² − 1` ancilla.
     pub fn physical_qubits_per_patch(&self) -> usize {
         2 * self.distance * self.distance - 1
@@ -87,33 +81,6 @@ impl SurfaceCodeModel {
     /// (Section 9: "the time to perform a CNOT gate with lattice surgery").
     pub fn consumption_cycles(&self) -> usize {
         2 * self.distance
-    }
-
-    /// The largest odd distance whose patches fit `budget` physical qubits
-    /// for `patches` patches, or `None` if even `d = 3` does not fit.
-    pub fn max_distance_for(budget: usize, patches: usize) -> Option<usize> {
-        let mut best = None;
-        let mut d = 3;
-        loop {
-            let need = patches * (2 * d * d - 1);
-            if need > budget {
-                break;
-            }
-            best = Some(d);
-            d += 2;
-        }
-        best
-    }
-
-    /// The smallest odd distance achieving a target logical error rate, up
-    /// to `d = 51`; `None` if unreachable (p above threshold).
-    pub fn min_distance_for_rate(p_phys: f64, target: f64) -> Option<usize> {
-        if p_phys >= THRESHOLD {
-            return None;
-        }
-        (3..=51)
-            .step_by(2)
-            .find(|&d| SurfaceCodeModel::new(d, p_phys).logical_error_rate() <= target)
     }
 }
 
@@ -151,39 +118,6 @@ mod tests {
         let code = SurfaceCodeModel::new(5, 1e-3);
         assert_eq!(code.physical_qubits_per_patch(), 49);
         assert_eq!(code.consumption_cycles(), 10);
-    }
-
-    #[test]
-    fn memory_error_scales_linearly_in_cycles() {
-        let code = SurfaceCodeModel::eft_default();
-        let one = code.memory_error_over(11.0);
-        let two = code.memory_error_over(22.0);
-        assert!((two - 2.0 * one).abs() < 1e-18);
-        assert!((one - code.logical_error_rate()).abs() < 1e-18);
-        assert_eq!(code.memory_error_over(1e12), 1.0); // clamped
-    }
-
-    #[test]
-    fn distance_budgeting() {
-        // 10000 qubits, 20 patches: 2d²−1 ≤ 500 → d = 15 needs 449 ✓,
-        // d = 17 needs 577 ✗.
-        assert_eq!(SurfaceCodeModel::max_distance_for(10_000, 20), Some(15));
-        assert_eq!(SurfaceCodeModel::max_distance_for(10, 5), None);
-    }
-
-    #[test]
-    fn min_distance_for_target() {
-        // At p = 1e-3, d = 11 reaches 1e-7 (tolerance for the float
-        // representation of 0.1·(0.1)^6).
-        assert_eq!(
-            SurfaceCodeModel::min_distance_for_rate(1e-3, 1.001e-7),
-            Some(11)
-        );
-        assert_eq!(
-            SurfaceCodeModel::min_distance_for_rate(1e-3, 1.001e-5),
-            Some(7)
-        );
-        assert_eq!(SurfaceCodeModel::min_distance_for_rate(2e-2, 1e-7), None);
     }
 
     #[test]

@@ -42,11 +42,6 @@ impl KrausChannel {
         KrausChannel::new(vec![Mat2::identity()])
     }
 
-    /// The Kraus operators.
-    pub fn operators(&self) -> &[Mat2] {
-        &self.ops
-    }
-
     /// Single-qubit depolarizing channel:
     /// `ρ → (1−p)ρ + p/3 (XρX + YρY + ZρZ)`.
     ///
@@ -172,7 +167,8 @@ impl KrausChannel {
     }
 
     /// Applies the channel to a single-qubit density matrix given as a 2×2
-    /// block (used by [`crate::DensityMatrix`]'s in-place block transform).
+    /// block, operator by operator: the reference that
+    /// [`KrausChannel::superoperator`] is checked against.
     pub fn apply_to_block(&self, block: &Mat2) -> Mat2 {
         let mut out = Mat2::zero();
         for k in &self.ops {
@@ -220,14 +216,6 @@ pub fn apply_superoperator(s: &[Complex; 16], block: &Mat2) -> Mat2 {
     out
 }
 
-/// Probability that a depolarizing channel of strength `p` flips the
-/// expectation of a weight-1 Pauli: each non-identity Pauli error occurs
-/// with `p/3` and two of the three anticommute, so `⟨P⟩` scales by
-/// `1 − 4p/3`.
-pub fn depolarizing_pauli_damping(p: f64) -> f64 {
-    1.0 - 4.0 * p / 3.0
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -266,7 +254,9 @@ mod tests {
             Complex::real(0.5),
         ]);
         let out = ch.apply_to_block(&plus);
-        let want = 0.5 * depolarizing_pauli_damping(p);
+        // Each non-identity Pauli error occurs with p/3 and two of the
+        // three anticommute with X, so ⟨X⟩ scales by 1 − 4p/3.
+        let want = 0.5 * (1.0 - 4.0 * p / 3.0);
         assert!((out.m[1].re - want).abs() < 1e-12);
         assert!((out.trace().re - 1.0).abs() < 1e-12);
     }

@@ -1,17 +1,22 @@
-//! Dense density-matrix simulation with in-place block transforms.
+//! Dense density-matrix simulation on the state-vector kernels.
 
 use crate::channels::KrausChannel;
-use crate::statevector::StateVector;
+use crate::statevector::{block_bases, StateVector, MAX_QUBITS};
 use eftq_circuit::{Circuit, Gate};
 use eftq_numerics::{Complex, Mat2};
 use eftq_pauli::{PauliString, PauliSum};
 
-/// A density matrix over `n ≤ 13` qubits, stored row-major
-/// (`rho[r * dim + c]`). Basis index bit `q` is qubit `q`.
+/// A density matrix over `n ≤ 13` qubits, stored as a state vector over
+/// `2n` qubits (vectorized ρ): entry `(r, c)` is amplitude `r·2ⁿ + c`, so
+/// the row bit of qubit `q` is index bit `q + n` and its column bit is
+/// index bit `q`.
 ///
-/// Single-qubit unitaries and channels act via in-place 2×2 block
-/// transforms; CX/CZ/SWAP act via index permutations — no scratch copy of
-/// the `4ⁿ`-entry matrix is ever made.
+/// A unitary is two [`StateVector`] kernel calls: `UρU†` is `U` on the
+/// row bit, then `conj(U)` on the column bit, and CX/CZ/SWAP run once on
+/// the row bits and once on the column bits. Channels act in place on
+/// the 2×2 (one qubit) or 4×4 (two qubits) blocks over the row and
+/// column bits of the qubits they act on — no scratch copy of the
+/// `4ⁿ`-entry matrix is made.
 ///
 /// # Examples
 ///
@@ -31,8 +36,7 @@ use eftq_pauli::{PauliString, PauliSum};
 #[derive(Clone, Debug, PartialEq)]
 pub struct DensityMatrix {
     n: usize,
-    dim: usize,
-    rho: Vec<Complex>,
+    vec: StateVector,
 }
 
 impl DensityMatrix {
@@ -44,13 +48,14 @@ impl DensityMatrix {
     /// already a gigabyte).
     pub fn zero_state(n: usize) -> Self {
         assert!(
-            (1..=13).contains(&n),
-            "density matrix supports 1..=13 qubits, got {n}"
+            (1..=MAX_QUBITS / 2).contains(&n),
+            "density matrix supports 1..={} qubits, got {n}",
+            MAX_QUBITS / 2
         );
-        let dim = 1usize << n;
-        let mut rho = vec![Complex::ZERO; dim * dim];
-        rho[0] = Complex::ONE;
-        DensityMatrix { n, dim, rho }
+        DensityMatrix {
+            n,
+            vec: StateVector::zero_state(2 * n),
+        }
     }
 
     /// Runs a fully bound circuit noiselessly from `|0…0⟩`.
@@ -67,122 +72,56 @@ impl DensityMatrix {
 
     /// The matrix entry `⟨r|ρ|c⟩`.
     pub fn entry(&self, r: usize, c: usize) -> Complex {
-        self.rho[r * self.dim + c]
+        self.vec.amplitudes()[(r << self.n) | c]
     }
 
     /// Trace (should be 1).
     pub fn trace(&self) -> Complex {
-        (0..self.dim).map(|i| self.rho[i * self.dim + i]).sum()
+        (0..1usize << self.n).map(|i| self.entry(i, i)).sum()
     }
 
     /// Purity `Tr(ρ²)`; 1 for pure states, `1/2ⁿ` for the maximally mixed
     /// state.
     pub fn purity(&self) -> f64 {
-        // Tr(ρ²) = Σ_{r,c} ρ_{rc} ρ_{cr} = Σ |ρ_{rc}|² for Hermitian ρ.
-        self.rho.iter().map(|z| z.norm_sqr()).sum()
+        // Tr(ρ²) = Σ_{r,c} ρ_{rc} ρ_{cr} = Σ |ρ_{rc}|² for Hermitian ρ: the
+        // squared norm of vectorized ρ.
+        self.vec.norm_sqr()
     }
 
     /// Probability of measuring basis state `b`.
     pub fn probability(&self, b: usize) -> f64 {
-        self.rho[b * self.dim + b].re
+        self.entry(b, b).re
     }
 
-    /// The diagonal as a probability vector.
-    pub fn probabilities(&self) -> Vec<f64> {
-        (0..self.dim).map(|b| self.probability(b)).collect()
-    }
-
-    /// Applies a single-qubit unitary `ρ → UρU†` on qubit `q`, in place.
+    /// Applies a single-qubit unitary `ρ → UρU†` on qubit `q`, in place:
+    /// `U` on the row bit, then `conj(U)` on the column bit, since
+    /// `(ρU†)_{rc} = Σ_k conj(U_{ck}) ρ_{rk}`.
     pub fn apply_mat2(&mut self, q: usize, u: &Mat2) {
         assert!(q < self.n, "qubit {q} out of range");
-        let mask = 1usize << q;
-        let ud = u.adjoint();
-        // Row transform: for every column c and row pair (r, r|mask).
-        for c in 0..self.dim {
-            for r in 0..self.dim {
-                if r & mask != 0 {
-                    continue;
-                }
-                let r1 = r | mask;
-                let a = self.rho[r * self.dim + c];
-                let b = self.rho[r1 * self.dim + c];
-                let (na, nb) = u.apply(a, b);
-                self.rho[r * self.dim + c] = na;
-                self.rho[r1 * self.dim + c] = nb;
-            }
-        }
-        // Column transform with U†ᵀ = conj(U): ρ ← ρ U†.
-        for r in 0..self.dim {
-            let row = r * self.dim;
-            for c in 0..self.dim {
-                if c & mask != 0 {
-                    continue;
-                }
-                let c1 = c | mask;
-                let a = self.rho[row + c];
-                let b = self.rho[row + c1];
-                // (ρU†)_{r,c} = a·U†_{c,c} + b·U†_{c1,c}
-                let na = a * ud.m[0] + b * ud.m[2];
-                let nb = a * ud.m[1] + b * ud.m[3];
-                self.rho[row + c] = na;
-                self.rho[row + c1] = nb;
-            }
-        }
+        self.vec.apply_mat2(q + self.n, u);
+        self.vec.apply_mat2(q, &Mat2::new(u.m.map(Complex::conj)));
     }
 
-    /// Applies a CNOT (a basis permutation, self-inverse).
+    /// Applies a CNOT (a basis permutation of rows, then of columns).
     pub fn apply_cx(&mut self, control: usize, target: usize) {
         assert!(control < self.n && target < self.n && control != target);
-        let cm = 1usize << control;
-        let tm = 1usize << target;
-        let perm = |b: usize| if b & cm != 0 { b ^ tm } else { b };
-        self.apply_involution_permutation(perm);
+        self.vec.apply_cx(control + self.n, target + self.n);
+        self.vec.apply_cx(control, target);
     }
 
     /// Applies a SWAP.
     pub fn apply_swap(&mut self, a: usize, b: usize) {
         assert!(a < self.n && b < self.n && a != b);
-        let am = 1usize << a;
-        let bm = 1usize << b;
-        let perm = move |idx: usize| {
-            let ba = (idx & am != 0) as usize;
-            let bb = (idx & bm != 0) as usize;
-            if ba == bb {
-                idx
-            } else {
-                idx ^ am ^ bm
-            }
-        };
-        self.apply_involution_permutation(perm);
+        self.vec.apply_swap(a + self.n, b + self.n);
+        self.vec.apply_swap(a, b);
     }
 
-    /// Applies a CZ (diagonal ±1).
+    /// Applies a CZ (diagonal ±1): the sign of each row with both bits
+    /// set, then of each such column.
     pub fn apply_cz(&mut self, a: usize, b: usize) {
         assert!(a < self.n && b < self.n && a != b);
-        let am = 1usize << a;
-        let bm = 1usize << b;
-        let sign = |idx: usize| idx & am != 0 && idx & bm != 0;
-        for r in 0..self.dim {
-            for c in 0..self.dim {
-                if sign(r) != sign(c) {
-                    let e = &mut self.rho[r * self.dim + c];
-                    *e = -*e;
-                }
-            }
-        }
-    }
-
-    fn apply_involution_permutation<F: Fn(usize) -> usize>(&mut self, perm: F) {
-        for r in 0..self.dim {
-            let pr = perm(r);
-            for c in 0..self.dim {
-                let pc = perm(c);
-                // Swap (r,c) ↔ (pr,pc) exactly once.
-                if (pr, pc) > (r, c) {
-                    self.rho.swap(r * self.dim + c, pr * self.dim + pc);
-                }
-            }
-        }
+        self.vec.apply_cz(a + self.n, b + self.n);
+        self.vec.apply_cz(a, b);
     }
 
     /// Applies a single-qubit Kraus channel on qubit `q`, in place, via 2×2
@@ -195,28 +134,14 @@ impl DensityMatrix {
     pub fn apply_channel(&mut self, q: usize, channel: &KrausChannel) {
         assert!(q < self.n, "qubit {q} out of range");
         let s = channel.superoperator();
-        let mask = 1usize << q;
-        for r in 0..self.dim {
-            if r & mask != 0 {
-                continue;
-            }
-            let r1 = r | mask;
-            for c in 0..self.dim {
-                if c & mask != 0 {
-                    continue;
-                }
-                let c1 = c | mask;
-                let block = Mat2::new([
-                    self.rho[r * self.dim + c],
-                    self.rho[r * self.dim + c1],
-                    self.rho[r1 * self.dim + c],
-                    self.rho[r1 * self.dim + c1],
-                ]);
-                let out = crate::channels::apply_superoperator(&s, &block);
-                self.rho[r * self.dim + c] = out.m[0];
-                self.rho[r * self.dim + c1] = out.m[1];
-                self.rho[r1 * self.dim + c] = out.m[2];
-                self.rho[r1 * self.dim + c1] = out.m[3];
+        let (cm, rm) = (1 << q, 1 << (q + self.n));
+        let rho = self.vec.amplitudes_mut();
+        for base in block_bases(2 * self.n, [q, q + self.n]) {
+            let idx = [base, base | cm, base | rm, base | rm | cm];
+            let block = Mat2::new(idx.map(|i| rho[i]));
+            let out = crate::channels::apply_superoperator(&s, &block);
+            for (i, v) in idx.into_iter().zip(out.m) {
+                rho[i] = v;
             }
         }
     }
@@ -239,24 +164,15 @@ impl DensityMatrix {
         }
         let keep = 1.0 - 4.0 * p / 3.0;
         let mix = 2.0 * p / 3.0;
-        let mask = 1usize << q;
-        for r in 0..self.dim {
-            if r & mask != 0 {
-                continue;
-            }
-            let r1 = r | mask;
-            for c in 0..self.dim {
-                if c & mask != 0 {
-                    continue;
-                }
-                let c1 = c | mask;
-                let (d0, d1) = (r * self.dim + c, r1 * self.dim + c1);
-                let t = (self.rho[d0] + self.rho[d1]) * mix;
-                self.rho[d0] = self.rho[d0] * keep + t;
-                self.rho[d1] = self.rho[d1] * keep + t;
-                self.rho[r * self.dim + c1] *= keep;
-                self.rho[r1 * self.dim + c] *= keep;
-            }
+        let (cm, rm) = (1 << q, 1 << (q + self.n));
+        let rho = self.vec.amplitudes_mut();
+        for base in block_bases(2 * self.n, [q, q + self.n]) {
+            let (d0, d1) = (base, base | rm | cm);
+            let t = (rho[d0] + rho[d1]) * mix;
+            rho[d0] = rho[d0] * keep + t;
+            rho[d1] = rho[d1] * keep + t;
+            rho[base | cm] *= keep;
+            rho[base | rm] *= keep;
         }
     }
 
@@ -279,33 +195,24 @@ impl DensityMatrix {
         }
         let mix = 16.0 * p / 15.0;
         let keep = 1.0 - mix;
-        let ma = 1usize << a;
-        let mb = 1usize << b;
-        let pair = [0usize, ma, mb, ma | mb];
-        let dim = self.dim;
-        // Iterate over (row, column) bases with the a/b bits cleared.
-        for r_base in 0..dim {
-            if r_base & (ma | mb) != 0 {
-                continue;
+        let n = self.n;
+        let pair = [0usize, 1 << a, 1 << b, (1 << a) | (1 << b)];
+        let rho = self.vec.amplitudes_mut();
+        // One 4×4 block per (row, column) base with the a/b bits cleared.
+        for base in block_bases(2 * n, [a, b, a + n, b + n]) {
+            // Average of the four ab-diagonal entries (the partial trace
+            // element for this block).
+            let mut avg = Complex::ZERO;
+            for &x in &pair {
+                avg += rho[base | (x << n) | x];
             }
-            for c_base in 0..dim {
-                if c_base & (ma | mb) != 0 {
-                    continue;
-                }
-                // Average of the four ab-diagonal entries (the partial
-                // trace element for this (r_rest, c_rest)).
-                let mut avg = Complex::ZERO;
-                for &x in &pair {
-                    avg += self.rho[(r_base | x) * dim + (c_base | x)];
-                }
-                avg *= 0.25;
-                for &ra in &pair {
-                    for &ca in &pair {
-                        let e = &mut self.rho[(r_base | ra) * dim + (c_base | ca)];
-                        *e *= keep;
-                        if ra == ca {
-                            *e += avg * mix;
-                        }
+            avg *= 0.25;
+            for &ra in &pair {
+                for &ca in &pair {
+                    let e = &mut rho[base | (ra << n) | ca];
+                    *e *= keep;
+                    if ra == ca {
+                        *e += avg * mix;
                     }
                 }
             }
@@ -350,14 +257,14 @@ impl DensityMatrix {
         let base = Complex::i_pow((p.phase_exponent() as usize + p.y_count()) as u8 % 4);
         let mut acc = Complex::ZERO;
         // Tr(Pρ) = Σ_b φ(b ⊕ x) ρ_{b⊕x, b} with φ the diagonal phase of P.
-        for b in 0..self.dim {
+        for b in 0..1usize << self.n {
             let bx = b ^ xm;
             let s = if ((bx & zm).count_ones() & 1) == 1 {
                 -1.0
             } else {
                 1.0
             };
-            acc += self.rho[bx * self.dim + b] * s;
+            acc += self.entry(bx, b) * s;
         }
         (acc * base).re
     }
@@ -376,9 +283,9 @@ impl DensityMatrix {
         assert_eq!(psi.num_qubits(), self.n, "qubit count mismatch");
         let amps = psi.amplitudes();
         let mut acc = Complex::ZERO;
-        for r in 0..self.dim {
-            for c in 0..self.dim {
-                acc += amps[r].conj() * self.rho[r * self.dim + c] * amps[c];
+        for (r, ar) in amps.iter().enumerate() {
+            for (c, ac) in amps.iter().enumerate() {
+                acc += ar.conj() * self.entry(r, c) * *ac;
             }
         }
         acc.re
@@ -519,7 +426,7 @@ mod tests {
         c.h(0).cx(0, 1).rz(1, 1.1).cx(1, 2);
         let mut rho = DensityMatrix::from_circuit(&c);
         rho.apply_channel(2, &KrausChannel::amplitude_damping(0.3));
-        let total: f64 = rho.probabilities().iter().sum();
+        let total: f64 = (0..8).map(|b| rho.probability(b)).sum();
         assert!((total - 1.0).abs() < 1e-10);
     }
 }

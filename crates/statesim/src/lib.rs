@@ -8,9 +8,14 @@
 //! measurement errors for the pQEC regime.
 //!
 //! * [`StateVector`] — exact pure-state simulation (the noiseless
-//!   reference).
-//! * [`DensityMatrix`] — exact open-system simulation via in-place 2×2 /
-//!   4×4 block transforms (no scratch copies of the 4ⁿ-entry matrix).
+//!   reference), and the one set of dense gate kernels.
+//! * [`DensityMatrix`] — exact open-system simulation on vectorized ρ:
+//!   an n-qubit density matrix is a 2n-qubit [`StateVector`] whose upper
+//!   n index bits are the rows, so every unitary is two state-vector
+//!   kernel calls (once on the row bits, once conjugated on the column
+//!   bits). Channels act in place on the 2×2 / 4×4 blocks over the row
+//!   and column bits of their qubits (no scratch copy of the 4ⁿ-entry
+//!   matrix).
 //! * [`channels`] — Kraus families: depolarizing, thermal relaxation
 //!   (amplitude + phase damping) and bit-flip, with their superoperators.
 //! * [`noise`] — a gate-triggered [`noise::NoiseModel`] plus the layered

@@ -174,7 +174,7 @@ pub fn run_noisy(circuit: &Circuit, noise: &NoiseModel) -> (DensityMatrix, Noisy
     let mut report = NoisyRunReport::default();
     let mut chans = RunChannels::new(noise);
 
-    for layer in layer_circuit(circuit) {
+    for layer in circuit.layers() {
         report.layers += 1;
         let mut busy = vec![false; n];
         let mut layer_duration: f64 = 0.0;
@@ -266,12 +266,6 @@ fn apply_gate_with_noise(
             }
         }
     }
-}
-
-/// Greedy ASAP layering of a circuit (same rule as [`Circuit::depth`]);
-/// thin alias over [`Circuit::layers`].
-pub fn layer_circuit(circuit: &Circuit) -> Vec<Vec<Gate>> {
-    circuit.layers()
 }
 
 #[cfg(test)]
@@ -377,7 +371,7 @@ mod tests {
     fn layering_matches_depth() {
         let mut c = Circuit::new(3);
         c.h(0).h(1).cx(0, 1).cx(1, 2).rz(0, 0.3);
-        let layers = layer_circuit(&c);
+        let layers = c.layers();
         assert_eq!(layers.len(), c.depth());
         let total: usize = layers.iter().map(|l| l.len()).sum();
         assert_eq!(total, c.len());

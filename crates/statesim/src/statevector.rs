@@ -4,6 +4,27 @@ use eftq_circuit::{Circuit, Gate};
 use eftq_numerics::{Complex, Mat2};
 use eftq_pauli::{PauliString, PauliSum};
 
+/// The largest register a [`StateVector`] holds: `2²⁶` amplitudes are a
+/// gigabyte.
+pub(crate) const MAX_QUBITS: usize = 26;
+
+/// The base index of every block over `bits` in an `n`-bit index space,
+/// ascending: each index below `2ⁿ` with all of `bits` clear. One base
+/// steps to the next by setting the block bits, adding one and clearing
+/// them again, so the carry jumps over them.
+pub(crate) fn block_bases<const K: usize>(
+    n: usize,
+    bits: [usize; K],
+) -> impl Iterator<Item = usize> {
+    let mask = bits.iter().fold(0usize, |m, &b| m | (1 << b));
+    let mut next = 0usize;
+    (0..1usize << (n - K)).map(move |_| {
+        let base = next;
+        next = ((next | mask) + 1) & !mask;
+        base
+    })
+}
+
 /// A pure state of `n ≤ 26` qubits. Basis index bit `q` is qubit `q`
 /// (qubit 0 = least significant bit), matching `eftq-pauli`'s convention.
 ///
@@ -30,8 +51,8 @@ impl StateVector {
     /// Panics if `n > 26` (memory) or `n == 0`.
     pub fn zero_state(n: usize) -> Self {
         assert!(
-            (1..=26).contains(&n),
-            "state vector supports 1..=26 qubits, got {n}"
+            (1..=MAX_QUBITS).contains(&n),
+            "state vector supports 1..={MAX_QUBITS} qubits, got {n}"
         );
         let mut amps = vec![Complex::ZERO; 1 << n];
         amps[0] = Complex::ONE;
@@ -57,6 +78,11 @@ impl StateVector {
     /// The amplitude vector.
     pub fn amplitudes(&self) -> &[Complex] {
         &self.amps
+    }
+
+    /// The amplitude vector, for the density-matrix block kernels.
+    pub(crate) fn amplitudes_mut(&mut self) -> &mut [Complex] {
+        &mut self.amps
     }
 
     /// Probability of basis state `b`.
@@ -88,17 +114,11 @@ impl StateVector {
     pub fn apply_mat2(&mut self, q: usize, u: &Mat2) {
         assert!(q < self.n, "qubit {q} out of range");
         let step = 1usize << q;
-        let dim = self.amps.len();
-        let mut base = 0;
-        while base < dim {
-            for offset in 0..step {
-                let i0 = base + offset;
-                let i1 = i0 + step;
-                let (a0, a1) = u.apply(self.amps[i0], self.amps[i1]);
-                self.amps[i0] = a0;
-                self.amps[i1] = a1;
+        for block in self.amps.chunks_exact_mut(step << 1) {
+            let (lo, hi) = block.split_at_mut(step);
+            for (a0, a1) in lo.iter_mut().zip(hi) {
+                (*a0, *a1) = u.apply(*a0, *a1);
             }
-            base += step << 1;
         }
     }
 
@@ -112,22 +132,18 @@ impl StateVector {
         assert!(control < self.n && target < self.n && control != target);
         let cm = 1usize << control;
         let tm = 1usize << target;
-        for b in 0..self.amps.len() {
-            if b & cm != 0 && b & tm == 0 {
-                self.amps.swap(b, b | tm);
-            }
+        for base in block_bases(self.n, [control, target]) {
+            self.amps.swap(base | cm, base | cm | tm);
         }
     }
 
     /// CZ between `a` and `b`.
     pub fn apply_cz(&mut self, a: usize, b: usize) {
         assert!(a < self.n && b < self.n && a != b);
-        let am = 1usize << a;
-        let bm = 1usize << b;
-        for idx in 0..self.amps.len() {
-            if idx & am != 0 && idx & bm != 0 {
-                self.amps[idx] = -self.amps[idx];
-            }
+        let ab = (1usize << a) | (1usize << b);
+        for base in block_bases(self.n, [a, b]) {
+            let e = &mut self.amps[base | ab];
+            *e = -*e;
         }
     }
 
@@ -136,12 +152,8 @@ impl StateVector {
         assert!(a < self.n && b < self.n && a != b);
         let am = 1usize << a;
         let bm = 1usize << b;
-        for idx in 0..self.amps.len() {
-            let has_a = idx & am != 0;
-            let has_b = idx & bm != 0;
-            if has_a && !has_b {
-                self.amps.swap(idx, (idx & !am) | bm);
-            }
+        for base in block_bases(self.n, [a, b]) {
+            self.amps.swap(base | am, base | bm);
         }
     }
 
@@ -189,6 +201,16 @@ impl StateVector {
 mod tests {
     use super::*;
     use eftq_circuit::ansatz;
+
+    #[test]
+    fn block_bases_are_the_indices_with_block_bits_clear() {
+        let got: Vec<usize> = block_bases(5, [3, 1]).collect();
+        let want: Vec<usize> = (0..32).filter(|i| i & 0b1010 == 0).collect();
+        assert_eq!(got, want);
+        let got: Vec<usize> = block_bases(6, [0, 5, 2, 3]).collect();
+        let want: Vec<usize> = (0..64).filter(|i| i & 0b101101 == 0).collect();
+        assert_eq!(got, want);
+    }
 
     #[test]
     fn zero_state_probabilities() {

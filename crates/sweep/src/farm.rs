@@ -40,7 +40,7 @@ use crate::protocol::Msg;
 use crate::rows::Row;
 use crate::runner::{
     check_row_contract, eval_guarded, Emitter, EvalOutcome, PointCtx, RowSource, SweepOptions,
-    SweepReport,
+    SweepReport, DEFAULT_SWEEP_SEED,
 };
 use crate::spec::{SweepPoint, SweepSpec};
 use crate::trace;
@@ -588,7 +588,7 @@ where
     let slot_of: HashMap<usize, usize> = todo.iter().map(|&slot| (points[slot].id, slot)).collect();
     let pids: Vec<usize> = todo.iter().map(|&slot| points[slot].id).collect();
     let state = Mutex::new(FarmState::new(&pids, opts.lease_secs).with_retries(opts.retries));
-    let root = SeedSequence::new(opts.seed).derive(spec.name());
+    let root = SeedSequence::new(DEFAULT_SWEEP_SEED).derive(spec.name());
     // Same chaos derivation node as a local run and as the workers, so
     // a planted fault plan fires identically under every topology.
     let chaos = root.derive("~chaos");
@@ -759,7 +759,7 @@ where
                 if send_msg(
                     &mut writer,
                     &Msg::Welcome {
-                        seed: opts.seed,
+                        seed: DEFAULT_SWEEP_SEED,
                         points: pids.len(),
                     },
                 )

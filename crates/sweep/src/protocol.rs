@@ -36,10 +36,10 @@ pub enum Msg {
     },
     /// Coordinator → worker, the hello acknowledgment. Carries the
     /// coordinator's root seed so every worker derives the exact
-    /// per-point seeds of a single-process run regardless of its own
-    /// `--seed`.
+    /// per-point seeds of a single-process run.
     Welcome {
-        /// Root sweep seed (the coordinator's `SweepOptions::seed`).
+        /// Root sweep seed (the coordinator's
+        /// [`DEFAULT_SWEEP_SEED`](crate::DEFAULT_SWEEP_SEED)).
         seed: u64,
         /// Selected points in the whole sweep (informational).
         points: usize,

@@ -53,8 +53,9 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 use std::time::Instant;
 
-/// Default root seed for per-point derivation (drivers that need the
-/// paper's exact historical streams use their own internal seeds).
+/// Root seed for per-point derivation, in every sweep and farm (drivers
+/// that need the paper's exact historical streams use their own internal
+/// seeds).
 pub const DEFAULT_SWEEP_SEED: u64 = 0x5eed_5eed;
 
 /// Row tag of the artifact's configuration-stamp line (the `~` cannot
@@ -146,8 +147,6 @@ pub struct SweepOptions {
     pub echo_json: bool,
     /// Per-point progress/ETA lines on stderr.
     pub progress: bool,
-    /// Root seed for [`PointCtx`] derivation.
-    pub seed: u64,
     /// Coordinate a sweep farm on this address (`--farm host:port`):
     /// lease points to `--worker` processes and to `threads` local
     /// worker threads (`threads` may be 0 for a pure coordinator).
@@ -203,7 +202,6 @@ impl Default for SweepOptions {
             summary: false,
             echo_json: false,
             progress: false,
-            seed: DEFAULT_SWEEP_SEED,
             farm: None,
             worker: None,
             lease_secs: crate::farm::DEFAULT_LEASE_SECS,
@@ -573,7 +571,7 @@ where
             .collect(),
         None => selected,
     };
-    let root = SeedSequence::new(opts.seed).derive(spec.name());
+    let root = SeedSequence::new(DEFAULT_SWEEP_SEED).derive(spec.name());
 
     // Resume: parse the artifact (when present) and every `--merge`
     // shard input, and mark completed points. The artifact is scanned

@@ -20,6 +20,7 @@ use std::net::TcpStream;
 use std::path::{Path, PathBuf};
 use std::process::{Child, Command, Stdio};
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::mpsc::{channel, Receiver};
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
@@ -129,6 +130,13 @@ fn farm_with_tcp_workers_is_byte_identical_to_the_baseline() {
         std::thread::scope(|scope| {
             let coordinator = scope
                 .spawn(|| run_sweep(&spec, &farm_opts(&addr, 0, &path), |p, _| driver.eval(p)));
+            // Start the workers once the coordinator listens. A worker
+            // that finds no listener retries 100 ms later, and the others
+            // can finish the grid in that time; a worker that never joins
+            // the farm is an error.
+            while TcpStream::connect(&addr).is_err() {
+                std::thread::sleep(Duration::from_millis(5));
+            }
             let joiners: Vec<_> = (0..workers)
                 .map(|_| {
                     scope.spawn(|| {
@@ -341,6 +349,14 @@ fn sigkilled_coordinator_resumes_without_recomputing_streamed_rows() {
     }
 }
 
+/// Blocks until every sender of `gate` is dropped. A coordinator's
+/// evaluator calls it first, so the sweep stays live until the test's
+/// client has had its say however fast the points compute; a client
+/// that panics drops its sender too and cannot hang the sweep.
+fn wait_for_release(gate: &Mutex<Receiver<()>>) {
+    let _ = gate.lock().unwrap().recv();
+}
+
 /// Reads one protocol message from a chaos client's socket.
 fn chaos_recv(reader: &mut BufReader<TcpStream>) -> Msg {
     let mut line = String::new();
@@ -363,9 +379,17 @@ fn hostile_wire_traffic_cannot_corrupt_the_artifact() {
         lease_secs: 0.4, // fast re-lease of whatever chaos abandons
         ..farm_opts(addr, 1, &path)
     };
+    let (release, gate) = channel();
+    let gate = Mutex::new(gate);
     std::thread::scope(|scope| {
-        let coordinator = scope.spawn(|| run_sweep(&spec, &opts, |p, _| driver.eval(p)));
+        let coordinator = scope.spawn(|| {
+            run_sweep(&spec, &opts, |p, _| {
+                wait_for_release(&gate);
+                driver.eval(p)
+            })
+        });
         let chaos = scope.spawn(|| {
+            let _release = release;
             let chaos_driver = Fig12Driver::new(false);
             let mut retries = 0;
             let stream = loop {
@@ -690,10 +714,17 @@ fn worker_mode_rejects_a_mismatched_sweep() {
     let addr = "127.0.0.1:47333";
     let driver = Fig12Driver::new(false);
     let spec = Fig12Driver::spec(false);
+    let (release, gate) = channel::<()>();
+    let gate = Mutex::new(gate);
     std::thread::scope(|scope| {
-        let coordinator =
-            scope.spawn(|| run_sweep(&spec, &farm_opts(addr, 2, &path), |p, _| driver.eval(p)));
+        let coordinator = scope.spawn(|| {
+            run_sweep(&spec, &farm_opts(addr, 2, &path), |p, _| {
+                wait_for_release(&gate);
+                driver.eval(p)
+            })
+        });
         let stranger = scope.spawn(|| {
+            let _release = release;
             let full_spec = Fig12Driver::spec(true); // config "full"
             let full_driver = Fig12Driver::new(true);
             run_sweep(&full_spec, &worker_opts(addr, 1), |p, _| {
