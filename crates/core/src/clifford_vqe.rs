@@ -55,12 +55,13 @@ pub struct CliffordVqeOutcome {
 /// Runs the genetic Clifford VQE under a stabilizer noise model.
 ///
 /// The circuit + noise model compile *once* into a
-/// [`NoiseTemplate`] before the search starts, and the circuit alone
-/// into a [`HeisenbergEvaluator`]: every genome shares the ansatz
-/// structure (layering, injection sites, probability classes, the fixed
-/// entangler), so the per-genome fitness only re-resolves its quarter
-/// turns — see [`clifford_vqe_with_template`] to share the template
-/// across several searches (e.g. a sweep's grid points).
+/// [`NoiseTemplate`] before the search starts, and the circuit and the
+/// observable into a [`HeisenbergEvaluator`]: every genome shares the
+/// ansatz structure (layering, injection sites, probability classes,
+/// the fixed entangler) and the observable's terms, so the per-genome
+/// fitness only re-resolves its quarter turns — see
+/// [`clifford_vqe_with_template`] to share the template across several
+/// searches (e.g. a sweep's grid points).
 ///
 /// # Panics
 ///
@@ -108,23 +109,17 @@ pub fn clifford_vqe_with_template(
         ..config.ga
     };
     let shots = config.shots.max(1);
-    // Compile the genome-independent Clifford once per search (like the
-    // noise template): each fitness call only resolves its rotations, and
-    // the Heisenberg-picture values are bit-identical to walking the
-    // bound circuit through `estimate_energy_program`.
-    let evaluator = HeisenbergEvaluator::compile(ansatz.circuit());
+    // Compile the genome-independent Clifford and the observable's terms
+    // once per search (like the noise template): each fitness call only
+    // resolves its rotations, and the Heisenberg-picture values are
+    // bit-identical to walking the bound circuit through
+    // `estimate_energy_program`.
+    let evaluator = HeisenbergEvaluator::compile(ansatz.circuit(), observable);
     let result = minimize_genetic(ansatz.num_params(), &ga, |genome| {
         let program = template.bind_clifford(genome);
         evaluator
             .bind_clifford(genome)
-            .estimate_energy(
-                observable,
-                &program,
-                template.meas_flip(),
-                shots,
-                shot_seed,
-                1,
-            )
+            .estimate_energy(&program, template.meas_flip(), shots, shot_seed, 1)
             .energy
     });
     CliffordVqeOutcome {

@@ -111,13 +111,6 @@ impl PauliSum {
         self.terms = merged;
     }
 
-    /// Scales all coefficients.
-    pub fn scale(&mut self, k: f64) {
-        for t in &mut self.terms {
-            t.coefficient *= k;
-        }
-    }
-
     /// Applies the observable to a state vector: `out += H |state⟩`.
     ///
     /// # Panics
@@ -334,16 +327,6 @@ mod tests {
         p.mul_phase(1);
         let mut h = PauliSum::new(1);
         h.push(1.0, p);
-    }
-
-    #[test]
-    fn scale_multiplies_every_coefficient() {
-        let mut h = two_qubit_tfim();
-        let before: Vec<f64> = h.terms().iter().map(|t| t.coefficient).collect();
-        h.scale(2.0);
-        for (t, c) in h.terms().iter().zip(before) {
-            assert_eq!(t.coefficient, 2.0 * c);
-        }
     }
 
     #[test]

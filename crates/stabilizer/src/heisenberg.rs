@@ -12,26 +12,36 @@
 //! [`HeisenbergEvaluator`] compiles that part once, in the spirit of
 //! Stim's observable peek (Gidney, *Quantum* 5, 497, 2021):
 //!
-//! 1. **Compile** (once per ansatz): split the circuit into maximal runs
-//!    of symbolic rotations and maximal runs of fixed gates. For every
-//!    fixed run `B`, store the phase-tracked rows `B†PB` for
-//!    `P ∈ {X_q, Y_q, Z_q}` — a Clifford conjugates a product of Paulis
-//!    into the product of their images, so these `3n` rows determine
-//!    `B†PB` for every `P`.
-//! 2. **Bind** (once per genome, `O(n)`): resolve each rotation run into
-//!    a signed single-qubit letter map per qubit, and the leading run
-//!    into the product state it prepares on `|0…0⟩`, kept as three
-//!    masks: the stabilizing letter of every qubit and its sign.
-//! 3. **Evaluate** (per term): propagate the term backwards through the
-//!    runs. Its letters pass through the letter maps; at a fixed run it
-//!    becomes the phase-tracked product of that run's rows over its
-//!    current support; at the front, a word-parallel read-off gives the
-//!    value: 0 unless every qubit carries `I` or its product-state
-//!    letter, otherwise the accumulated sign.
+//! 1. **Compile** (once per search, from the ansatz and the
+//!    Hamiltonian): split the circuit into the leading symbolic
+//!    rotations and then stages, each a maximal run of fixed gates
+//!    followed by the maximal run of symbolic rotations after it (possibly
+//!    empty). For every fixed run `B`, store the phase-tracked rows `B†PB`
+//!    for `P ∈ {X_q, Y_q, Z_q}` — a Clifford conjugates a product of
+//!    Paulis into the product of their images, so these `3n` rows
+//!    determine `B†PB` for every `P`. Every Hamiltonian term becomes a
+//!    letter list: its `(qubit, symplectic code)` pairs by ascending
+//!    qubit, plus its sign.
+//! 2. **Bind** (once per genome, `O(n)`): resolve each stage's rotations
+//!    into a signed single-qubit letter map per qubit, and the leading
+//!    rotations into the product state they prepare on `|0…0⟩`, kept as
+//!    three masks: the stabilizing letter of every qubit and its sign.
+//! 3. **Evaluate** (per term): propagate the term backwards, stage by
+//!    stage. Each stage maps the term's letters through its rotations'
+//!    letter maps and multiplies its fixed run's rows for the mapped
+//!    letters: a weight-1 term's image is its row itself, and a heavier
+//!    term's first two rows are multiplied into the scratch row, the rest
+//!    into that. An earlier stage reads the letters back off the image.
+//!    At the front, a word-parallel read-off gives the value: 0 unless
+//!    every qubit carries `I` or its product-state letter, otherwise the
+//!    accumulated sign. The products' `i`-powers are counted per bit
+//!    position in two bit-planes (as Stim's Pauli-string product counts
+//!    them), so a zero value costs no popcount.
 //!
 //! On a depth-1 ansatz (rotations, entangler, rotations) a term of
-//! weight `w` costs `O(w · n/64)`, with no circuit, no tableau and no
-//! per-term walk over all generator rows.
+//! weight `w` costs `w` letter lookups and `w − 1` row products of
+//! `n/64` words, with no circuit, no tableau, no per-term walk over all
+//! generator rows and no per-genome rebuild of the term.
 //!
 //! Every rotation resolves exactly as [`Tableau::apply_gate`] applies it
 //! (`Rz(kπ/2) = S^k`, `Rx = H·S^k·H`, `Ry` = S†, H, S^k, H, S), and
@@ -47,19 +57,28 @@
 //!
 //! ```
 //! use eftq_circuit::ansatz::fully_connected_hea;
+//! use eftq_pauli::PauliSum;
 //! use eftq_stabilizer::{HeisenbergEvaluator, Tableau};
 //!
 //! let ansatz = fully_connected_hea(5, 1);
-//! let evaluator = HeisenbergEvaluator::compile(ansatz.circuit());
+//! let mut h = PauliSum::new(5);
+//! for p in ["ZZIII", "IXXII", "YIIIY", "-IIZIZ"] {
+//!     h.push_str(0.5, p);
+//! }
+//! let evaluator = HeisenbergEvaluator::compile(ansatz.circuit(), &h);
 //! let genome: Vec<u8> = (0..ansatz.num_params()).map(|i| (i % 4) as u8).collect();
 //! let bound = evaluator.bind_clifford(&genome);
+//! let mut values = vec![0.0; h.num_terms()];
+//! bound.expectations(&mut values);
 //!
 //! let mut t = Tableau::new(5);
 //! t.run(&ansatz.bind_clifford(&genome));
-//! for p in ["ZZIII", "IXXII", "YIIIY", "-IIZIZ"] {
-//!     let p = p.parse().unwrap();
-//!     assert_eq!(bound.expectation(&p), t.expectation(&p));
+//! for (term, value) in h.terms().iter().zip(values) {
+//!     assert_eq!(value, t.expectation(&term.string));
 //! }
+//! // A term outside the Hamiltonian takes the same path.
+//! let p = "XXXXX".parse().unwrap();
+//! assert_eq!(bound.expectation(&p), t.expectation(&p));
 //! ```
 
 use crate::noise::{accumulate_energy, NoisyCliffordRun};
@@ -191,40 +210,78 @@ fn rotation_maps() -> [[LetterMap; 4]; 3] {
     maps
 }
 
-/// Multiplies the row `a = [x | z]` by `b` on the right in place and
-/// returns the `i`-power the product picks up (the per-site rule of
-/// [`PauliString::mul`]).
-fn mul_assign(a: &mut [u64], b: &[u64], words: usize) -> u8 {
-    let (ax, az) = a.split_at_mut(words);
-    let (bx, bz) = b.split_at(words);
-    let (mut plus, mut minus) = (0u32, 0u32);
-    for i in 0..words {
-        let (x1, z1, x2, z2) = (ax[i], az[i], bx[i], bz[i]);
-        let p = (x1 & !z1 & x2 & z2) | (x1 & z1 & !x2 & z2) | (!x1 & z1 & x2 & !z2);
-        let m = (x1 & !z1 & !x2 & z2) | (x1 & z1 & x2 & !z2) | (!x1 & z1 & x2 & z2);
-        plus += p.count_ones();
-        minus += m.count_ones();
-        ax[i] = x1 ^ x2;
-        az[i] = z1 ^ z2;
-    }
-    ((plus + 3 * minus) % 4) as u8
+/// Per bit position, a count modulo 4 of the `i`-powers that row
+/// products pick up, kept in two bit-planes (the accumulator of Stim's
+/// Pauli-string product). The total costs two popcounts, however many
+/// words and products went into it.
+#[derive(Clone, Copy, Debug, Default)]
+struct Powers {
+    lo: u64,
+    hi: u64,
 }
 
-/// The letters of a row `[x | z]` as `(qubit, symplectic code)`, by
-/// ascending qubit.
-fn letters(row: &[u64], words: usize) -> impl Iterator<Item = (usize, usize)> + '_ {
+impl Powers {
+    /// The summed `i`-power, mod 4.
+    fn total(self) -> u8 {
+        ((self.lo.count_ones() + 2 * self.hi.count_ones()) % 4) as u8
+    }
+}
+
+/// One word of the row product `[x1 | z1]·[x2 | z2]`: returns its
+/// `[x | z]` words and adds each site's `i`-power to `acc` — +1 for XY,
+/// YZ and ZX, −1 for XZ, YX and ZY (the per-site rule of
+/// [`PauliString::mul`]).
+#[inline(always)]
+fn mul_word(x1: u64, z1: u64, x2: u64, z2: u64, acc: &mut Powers) -> (u64, u64) {
+    let (x, z) = (x1 ^ x2, z1 ^ z2);
+    let x1z2 = x1 & z2;
+    // Anticommuting sites pick up ±i, −i exactly where x ^ z ^ x1z2.
+    let anti = (x2 & z1) ^ x1z2;
+    acc.hi ^= (acc.lo ^ x ^ z ^ x1z2) & anti;
+    acc.lo ^= anti;
+    (x, z)
+}
+
+/// Row `a = [x | z]` ← `a·b`, adding the product's `i`-powers to `acc`.
+fn mul_assign(a: &mut [u64], b: &[u64], words: usize, acc: &mut Powers) {
+    let (ax, az) = a.split_at_mut(words);
+    let (bx, bz) = b.split_at(words);
+    for i in 0..words {
+        (ax[i], az[i]) = mul_word(ax[i], az[i], bx[i], bz[i], acc);
+    }
+}
+
+/// `out` ← `a·b` for rows `[x | z]`, adding the product's `i`-powers to
+/// `acc`.
+fn mul_into(out: &mut [u64], a: &[u64], b: &[u64], words: usize, acc: &mut Powers) {
+    let (ox, oz) = out.split_at_mut(words);
+    let (ax, az) = a.split_at(words);
+    let (bx, bz) = b.split_at(words);
+    for i in 0..words {
+        (ox[i], oz[i]) = mul_word(ax[i], az[i], bx[i], bz[i], acc);
+    }
+}
+
+/// A non-identity letter of a term: `(qubit, symplectic code)`, the code
+/// in `1..4`.
+type Letter = (usize, usize);
+
+/// Writes the letters of a row `[x | z]` into `out`, by ascending qubit,
+/// and returns how many there are.
+fn read_letters(row: &[u64], words: usize, out: &mut [Letter]) -> usize {
     let (x, z) = row.split_at(words);
-    x.iter().zip(z).enumerate().flat_map(|(w, (&xw, &zw))| {
+    let mut len = 0;
+    for (w, (&xw, &zw)) in x.iter().zip(z).enumerate() {
         let mut bits = xw | zw;
-        std::iter::from_fn(move || {
-            (bits != 0).then(|| {
-                let b = bits.trailing_zeros();
-                bits &= bits - 1;
-                let code = (xw >> b & 1) | (zw >> b & 1) << 1;
-                (w * WORD_BITS + b as usize, code as usize)
-            })
-        })
-    })
+        while bits != 0 {
+            let b = bits.trailing_zeros();
+            bits &= bits - 1;
+            let code = (xw >> b & 1) | (zw >> b & 1) << 1;
+            out[len] = (w * WORD_BITS + b as usize, code as usize);
+            len += 1;
+        }
+    }
+    len
 }
 
 /// Disjoint mutable views of rows `a` and `b` (`a != b`) of a row table.
@@ -236,6 +293,37 @@ fn two_rows(rows: &mut [u64], stride: usize, a: usize, b: usize) -> (&mut [u64],
     } else {
         let (lo, hi) = rows.split_at_mut(a * stride);
         (&mut hi[..stride], &mut lo[b * stride..(b + 1) * stride])
+    }
+}
+
+/// A Hermitian Pauli term compiled for evaluation.
+#[derive(Clone, Debug)]
+struct Term {
+    /// Its letters, by ascending qubit.
+    letters: Vec<Letter>,
+    /// Its `i`-power: 0 or 2.
+    phase: u8,
+}
+
+impl Term {
+    /// # Panics
+    ///
+    /// Panics on qubit-count mismatch or a non-Hermitian phase.
+    fn compile(p: &PauliString, n: usize) -> Term {
+        assert_eq!(p.num_qubits(), n, "pauli size mismatch");
+        assert!(p.is_hermitian(), "expectation needs a Hermitian Pauli");
+        let letters = p
+            .support()
+            .map(|q| {
+                let letter = p.pauli_at(q);
+                let code = usize::from(letter.x_bit()) | usize::from(letter.z_bit()) << 1;
+                (q, code)
+            })
+            .collect();
+        Term {
+            letters,
+            phase: p.phase_exponent(),
+        }
     }
 }
 
@@ -255,6 +343,49 @@ struct FixedRun {
     rows: Vec<u64>,
     /// The `i`-power of each row.
     phase: Vec<u8>,
+}
+
+impl FixedRun {
+    /// The image `B†PB` of the product `P` of `letters` (distinct qubits),
+    /// each letter first mapped through `maps`: one letter's row itself,
+    /// or the product of their rows written into `out` (the first two
+    /// multiplied into it, the rest multiplied in). The letters' signs
+    /// and the rows' `i`-powers go to `phase`, the products' to `acc`.
+    fn image<'a>(
+        &'a self,
+        letters: &[Letter],
+        maps: &[LetterMap],
+        out: &'a mut [u64],
+        words: usize,
+        phase: &mut u8,
+        acc: &mut Powers,
+    ) -> &'a [u64] {
+        let stride = 2 * words;
+        let at = |r: usize| &self.rows[r * stride..][..stride];
+        // Maps a letter, folds its sign and its row's `i`-power into
+        // `phase`, and returns the row's index.
+        let mut row = |&(q, code): &Letter| {
+            let img = maps[q][code];
+            let r = 3 * q + usize::from(img & 3) - 1;
+            *phase = (*phase + (img & NEG) / 2 + self.phase[r]) % 4;
+            r
+        };
+        match letters {
+            [] => {
+                out.fill(0);
+                out
+            }
+            [a] => at(row(a)),
+            [a, b, rest @ ..] => {
+                let (ra, rb) = (row(a), row(b));
+                mul_into(out, at(ra), at(rb), words, acc);
+                for c in rest {
+                    mul_assign(out, at(row(c)), words, acc);
+                }
+                out
+            }
+        }
+    }
 }
 
 /// The generator images of a fixed run under construction: row `2q` is
@@ -284,8 +415,9 @@ impl Images {
     /// Row `dst` ← row `dst` · row `src`.
     fn mul(&mut self, dst: usize, src: usize) {
         let (d, s) = two_rows(&mut self.rows, 2 * self.words, dst, src);
-        let delta = mul_assign(d, s, self.words);
-        self.phase[dst] = (self.phase[dst] + self.phase[src] + delta) % 4;
+        let mut acc = Powers::default();
+        mul_assign(d, s, self.words, &mut acc);
+        self.phase[dst] = (self.phase[dst] + self.phase[src] + acc.total()) % 4;
     }
 
     fn swap(&mut self, a: usize, b: usize) {
@@ -351,63 +483,76 @@ impl Images {
                 &self.rows[2 * q * stride..(2 * q + 1) * stride],
                 &self.rows[(2 * q + 1) * stride..(2 * q + 2) * stride],
             );
-            let out = &mut rows[3 * q * stride..3 * (q + 1) * stride];
-            out[..stride].copy_from_slice(rx);
-            out[stride..2 * stride].copy_from_slice(rz);
-            out[2 * stride..].copy_from_slice(rx);
-            let delta = mul_assign(&mut out[2 * stride..], rz, self.words);
+            let (xz, y) = rows[3 * q * stride..3 * (q + 1) * stride].split_at_mut(2 * stride);
+            xz[..stride].copy_from_slice(rx);
+            xz[stride..].copy_from_slice(rz);
+            let mut acc = Powers::default();
+            mul_into(y, rx, rz, self.words, &mut acc);
             let (px, pz) = (self.phase[2 * q], self.phase[2 * q + 1]);
             phase[3 * q] = px;
             phase[3 * q + 1] = pz;
-            phase[3 * q + 2] = (px + pz + delta + 1) % 4;
+            phase[3 * q + 2] = (px + pz + acc.total() + 1) % 4;
         }
         FixedRun { rows, phase }
     }
 }
 
-/// One stage of the compiled circuit.
+/// A fixed run and the rotation run that follows it in the circuit
+/// (empty when another fixed run or the end of the circuit follows).
 #[derive(Clone, Debug)]
-enum Run {
-    /// Symbolic rotations, in circuit order.
-    Rotations(Vec<Rotation>),
-    /// A genome-independent Clifford.
-    Fixed(FixedRun),
+struct Stage {
+    fixed: FixedRun,
+    then: Vec<Rotation>,
 }
 
-/// A symbolic Clifford ansatz compiled for Heisenberg-picture
-/// expectations: the genome-independent gates are folded into
-/// conjugation tables once, and each genome only resolves its
-/// rotations. See the [module docs](self) for the algorithm.
+/// A symbolic Clifford ansatz and a Hamiltonian compiled for
+/// Heisenberg-picture expectations: the genome-independent gates are
+/// folded into conjugation tables once, every term into a letter list
+/// once, and each genome only resolves its rotations. See the
+/// [module docs](self) for the algorithm.
 ///
-/// Compile once per ansatz structure and share across threads (it is
-/// plain data); [`HeisenbergEvaluator::bind_clifford`] is the
-/// per-genome step.
+/// Compile once per search and share across threads (it is plain
+/// data); [`HeisenbergEvaluator::bind_clifford`] is the per-genome step.
 #[derive(Clone, Debug)]
 pub struct HeisenbergEvaluator {
     n: usize,
     words: usize,
     num_params: usize,
-    runs: Vec<Run>,
+    /// The rotations ahead of the first fixed gate: they prepare a
+    /// product state.
+    leading: Vec<Rotation>,
+    /// The rest of the circuit, in circuit order.
+    stages: Vec<Stage>,
     /// Letter maps of `R(k·π/2)` per axis and `k`.
     rotation_maps: [[LetterMap; 4]; 3],
+    /// The Hamiltonian, for the energy accumulation.
+    hamiltonian: PauliSum,
+    /// Its terms, in term order.
+    terms: Vec<Term>,
 }
 
 impl HeisenbergEvaluator {
-    /// Compiles a (possibly symbolic) Clifford circuit. Symbolic
-    /// rotations stay symbolic; every other gate — including bound
-    /// quarter-turn rotations — is folded into its run's conjugation
-    /// table. Measurements are skipped, as [`crate::Tableau::run`]
-    /// skips them.
+    /// Compiles a (possibly symbolic) Clifford circuit and the
+    /// Hamiltonian whose terms [`BoundEvaluator::expectations`] evaluates.
+    /// Symbolic rotations stay symbolic; every other gate — including
+    /// bound quarter-turn rotations — is folded into its run's
+    /// conjugation table. Measurements are skipped, as
+    /// [`crate::Tableau::run`] skips them.
     ///
     /// # Panics
     ///
-    /// Panics on non-Clifford gates or bound rotations that are not
-    /// multiples of π/2.
-    pub fn compile(circuit: &Circuit) -> HeisenbergEvaluator {
+    /// Panics on circuit/Hamiltonian size mismatch, non-Clifford gates,
+    /// or bound rotations that are not multiples of π/2.
+    pub fn compile(circuit: &Circuit, hamiltonian: &PauliSum) -> HeisenbergEvaluator {
         let n = circuit.num_qubits();
+        assert_eq!(
+            hamiltonian.num_qubits(),
+            n,
+            "circuit/Hamiltonian size mismatch"
+        );
         let words = n.div_ceil(WORD_BITS);
-        let mut runs = Vec::new();
-        let mut rotations = Vec::new();
+        let mut leading = Vec::new();
+        let mut stages: Vec<Stage> = Vec::new();
         let mut fixed: Option<Images> = None;
         let mut prims = Vec::new();
         for g in circuit.gates() {
@@ -419,9 +564,13 @@ impl HeisenbergEvaluator {
             };
             if let Some((q, param, axis)) = rotation {
                 if let Some(images) = fixed.take() {
-                    runs.push(Run::Fixed(images.finish()));
+                    stages.push(Stage {
+                        fixed: images.finish(),
+                        then: Vec::new(),
+                    });
                 }
-                rotations.push(Rotation { q, param, axis });
+                let run = stages.last_mut().map_or(&mut leading, |s| &mut s.then);
+                run.push(Rotation { q, param, axis });
                 continue;
             }
             prims.clear();
@@ -429,26 +578,30 @@ impl HeisenbergEvaluator {
             if prims.is_empty() {
                 continue;
             }
-            if !rotations.is_empty() {
-                runs.push(Run::Rotations(std::mem::take(&mut rotations)));
-            }
             let images = fixed.get_or_insert_with(|| Images::identity(n, words));
             for &p in &prims {
                 images.push(p);
             }
         }
         if let Some(images) = fixed {
-            runs.push(Run::Fixed(images.finish()));
-        }
-        if !rotations.is_empty() {
-            runs.push(Run::Rotations(rotations));
+            stages.push(Stage {
+                fixed: images.finish(),
+                then: Vec::new(),
+            });
         }
         HeisenbergEvaluator {
             n,
             words,
             num_params: circuit.num_symbolic_params(),
-            runs,
+            leading,
+            stages,
             rotation_maps: rotation_maps(),
+            hamiltonian: hamiltonian.clone(),
+            terms: hamiltonian
+                .terms()
+                .iter()
+                .map(|t| Term::compile(&t.string, n))
+                .collect(),
         }
     }
 
@@ -473,40 +626,31 @@ impl HeisenbergEvaluator {
             genome.len()
         );
         let (n, words) = (self.n, self.words);
-        // Product-state masks [letter x | letter z | sign]: |0…0⟩ is
-        // stabilized by +Z on every qubit.
-        let mut product = vec![0u64; 3 * words];
-        for q in 0..n {
-            product[words + q / WORD_BITS] |= 1 << (q % WORD_BITS);
-        }
-        let mut maps = Vec::new();
-        for (i, run) in self.runs.iter().enumerate() {
-            let Run::Rotations(rotations) = run else {
-                continue;
-            };
-            let start = maps.len();
-            maps.resize(start + n, IDENTITY_MAP);
+        let resolve = |rotations: &[Rotation], maps: &mut [LetterMap]| {
             for r in rotations {
-                let m = &mut maps[start + r.q];
-                *m = then(
-                    *m,
-                    self.rotation_maps[r.axis][usize::from(genome[r.param] % 4)],
-                );
+                let k = usize::from(genome[r.param] % 4);
+                maps[r.q] = then(maps[r.q], self.rotation_maps[r.axis][k]);
             }
-            if i > 0 {
-                continue;
-            }
-            // The leading run prepares a product state: qubit q is
-            // stabilized by the letter its map sends to ±Z.
-            for (q, m) in maps.drain(start..).enumerate() {
-                let c = (1..4)
-                    .find(|&c| m[c] & 3 == 2)
-                    .expect("a Clifford maps one letter to ±Z");
-                let (w, bit) = (q / WORD_BITS, 1u64 << (q % WORD_BITS));
-                product[w] |= if c & 1 == 1 { bit } else { 0 };
-                product[words + w] &= if c & 2 == 2 { !0 } else { !bit };
-                product[2 * words + w] |= if m[c] & NEG != 0 { bit } else { 0 };
-            }
+        };
+        // The leading run prepares a product state, kept as masks
+        // [letter x | letter z | sign]: qubit q is stabilized by the
+        // letter its map sends to ±Z (+Z on every qubit without one).
+        let mut maps = vec![IDENTITY_MAP; n];
+        resolve(&self.leading, &mut maps);
+        let mut product = vec![0u64; 3 * words];
+        for (q, m) in maps.iter().enumerate() {
+            let c = (1..4)
+                .find(|&c| m[c] & 3 == 2)
+                .expect("a Clifford maps one letter to ±Z");
+            let (w, bit) = (q / WORD_BITS, 1u64 << (q % WORD_BITS));
+            product[w] |= if c & 1 == 1 { bit } else { 0 };
+            product[words + w] |= if c & 2 == 2 { bit } else { 0 };
+            product[2 * words + w] |= if m[c] & NEG != 0 { bit } else { 0 };
+        }
+        maps.clear();
+        maps.resize(n * self.stages.len(), IDENTITY_MAP);
+        for (j, stage) in self.stages.iter().enumerate() {
+            resolve(&stage.then, &mut maps[j * n..(j + 1) * n]);
         }
         BoundEvaluator {
             evaluator: self,
@@ -521,149 +665,145 @@ impl HeisenbergEvaluator {
 #[derive(Clone, Debug)]
 pub struct BoundEvaluator<'a> {
     evaluator: &'a HeisenbergEvaluator,
-    /// `n` letter maps per non-leading rotation run, in run order.
+    /// `n` letter maps per stage, in stage order: the rotation run after
+    /// the stage's fixed run.
     maps: Vec<LetterMap>,
     /// The leading product state: X-letter, Z-letter and sign masks.
     product: Vec<u64>,
 }
 
-/// Per-term working rows: the propagated term and the product under
-/// construction, each `[x | z]`.
+/// Per-term working space: a letter slot per qubit and a row `[x | z]`.
 struct Scratch {
-    term: Vec<u64>,
-    acc: Vec<u64>,
+    letters: Vec<Letter>,
+    row: Vec<u64>,
 }
 
 impl BoundEvaluator<'_> {
     /// Expectation value of a Hermitian Pauli string on the bound state:
-    /// exactly [`crate::Tableau::expectation`] on the bound circuit.
+    /// exactly [`crate::Tableau::expectation`] on the bound circuit. The
+    /// string is compiled into a letter list and evaluated like a
+    /// Hamiltonian term.
     ///
     /// # Panics
     ///
     /// Panics on qubit-count mismatch or a non-Hermitian phase.
     pub fn expectation(&self, p: &PauliString) -> f64 {
-        self.value(p, &mut self.scratch())
+        let term = Term::compile(p, self.evaluator.n);
+        self.value(&term, &mut self.scratch())
     }
 
-    /// Writes `⟨P_k⟩` for every term of `observable` into `out`, in term
-    /// order.
+    /// Writes `⟨P_k⟩` for every term of the compiled Hamiltonian into
+    /// `out`, in term order.
     ///
     /// # Panics
     ///
-    /// Panics on qubit-count mismatch or if `out.len()` differs from the
-    /// term count.
-    pub fn expectations(&self, observable: &PauliSum, out: &mut [f64]) {
-        assert_eq!(
-            out.len(),
-            observable.num_terms(),
-            "output slice size mismatch"
-        );
+    /// Panics if `out.len()` differs from the term count.
+    pub fn expectations(&self, out: &mut [f64]) {
+        let terms = &self.evaluator.terms;
+        assert_eq!(out.len(), terms.len(), "output slice size mismatch");
         let mut scratch = self.scratch();
-        for (o, term) in out.iter_mut().zip(observable.terms()) {
-            *o = self.value(&term.string, &mut scratch);
+        for (o, term) in out.iter_mut().zip(terms) {
+            *o = self.value(term, &mut scratch);
         }
     }
 
-    /// Noisy energy estimate of the bound state: these noiseless
-    /// expectations fed through `program`'s Pauli frames. Bit-identical
-    /// to [`crate::estimate_energy_program`] on the bound circuit with
-    /// the same arguments.
+    /// Noisy energy estimate of the compiled Hamiltonian on the bound
+    /// state: these noiseless expectations fed through `program`'s Pauli
+    /// frames. Bit-identical to [`crate::estimate_energy_program`] on the
+    /// bound circuit with the same Hamiltonian and arguments.
     ///
     /// # Panics
     ///
-    /// Panics if `shots == 0` or the observable/program sizes mismatch.
+    /// Panics if `shots == 0` or the program size mismatches.
     pub fn estimate_energy(
         &self,
-        observable: &PauliSum,
         program: &NoiseProgram,
         meas_flip: f64,
         shots: usize,
         seed: SeedSequence,
         threads: usize,
     ) -> NoisyCliffordRun {
+        let ev = self.evaluator;
         assert_eq!(
             program.num_qubits(),
-            self.evaluator.n,
+            ev.n,
             "evaluator/program size mismatch"
         );
-        let mut e0s = vec![0.0; observable.num_terms()];
-        self.expectations(observable, &mut e0s);
-        accumulate_energy(observable, &e0s, program, meas_flip, shots, seed, threads)
+        let mut e0s = vec![0.0; ev.terms.len()];
+        self.expectations(&mut e0s);
+        accumulate_energy(
+            &ev.hamiltonian,
+            &e0s,
+            program,
+            meas_flip,
+            shots,
+            seed,
+            threads,
+        )
     }
 
     fn scratch(&self) -> Scratch {
-        let stride = 2 * self.evaluator.words;
+        let ev = self.evaluator;
         Scratch {
-            term: vec![0; stride],
-            acc: vec![0; stride],
+            letters: vec![(0, 0); ev.n],
+            row: vec![0; 2 * ev.words],
         }
     }
 
-    fn value(&self, p: &PauliString, s: &mut Scratch) -> f64 {
+    fn value(&self, term: &Term, s: &mut Scratch) -> f64 {
         let ev = self.evaluator;
         let (n, words) = (ev.n, ev.words);
-        assert_eq!(p.num_qubits(), n, "pauli size mismatch");
-        assert!(p.is_hermitian(), "expectation needs a Hermitian Pauli");
-        s.term.fill(0);
-        for q in p.support() {
-            let letter = p.pauli_at(q);
-            let (w, bit) = (q / WORD_BITS, 1u64 << (q % WORD_BITS));
-            if letter.x_bit() {
-                s.term[w] |= bit;
-            }
-            if letter.z_bit() {
-                s.term[words + w] |= bit;
-            }
-        }
-        let mut phase = p.phase_exponent();
-        let mut maps_end = self.maps.len();
-        let stride = 2 * words;
-        for (i, run) in ev.runs.iter().enumerate().rev() {
-            if i == 0 && matches!(run, Run::Rotations(_)) {
-                break; // the leading rotations are read off below
-            }
-            // Each stage maps every letter of the term to a signed letter
-            // (rotations) or a phase-tracked row (fixed runs); the image
-            // is their product, built in `acc`.
-            s.acc.fill(0);
-            match run {
-                Run::Rotations(_) => {
-                    maps_end -= n;
-                    let maps = &self.maps[maps_end..maps_end + n];
-                    for (q, code) in letters(&s.term, words) {
-                        let img = maps[q][code];
-                        let (w, bit) = (q / WORD_BITS, 1u64 << (q % WORD_BITS));
-                        s.acc[w] |= if img & 1 == 1 { bit } else { 0 };
-                        s.acc[words + w] |= if img & 2 == 2 { bit } else { 0 };
-                        phase = (phase + (img & NEG) / 2) % 4;
-                    }
+        let Scratch { letters, row: out } = s;
+        let (mut phase, mut acc) = (term.phase, Powers::default());
+        // Stage by stage from the back, the term is a letter list — its
+        // own, or read back off the previous stage's image — mapped
+        // through the stage's rotations and its fixed run's rows.
+        let mut image: Option<&[u64]> = None;
+        for (j, stage) in ev.stages.iter().enumerate().rev() {
+            let maps = &self.maps[j * n..(j + 1) * n];
+            let input = match image {
+                None => &term.letters[..],
+                Some(row) => {
+                    let len = read_letters(row, words, letters);
+                    &letters[..len]
                 }
-                Run::Fixed(run) => {
-                    for (q, code) in letters(&s.term, words) {
-                        let r = 3 * q + code - 1;
-                        let delta =
-                            mul_assign(&mut s.acc, &run.rows[r * stride..][..stride], words);
-                        phase = (phase + run.phase[r] + delta) % 4;
-                    }
-                }
-            }
-            std::mem::swap(&mut s.term, &mut s.acc);
+            };
+            image = Some(
+                stage
+                    .fixed
+                    .image(input, maps, out, words, &mut phase, &mut acc),
+            );
         }
+        let row = match image {
+            Some(row) => row,
+            None => {
+                out.fill(0);
+                for &(q, code) in &term.letters {
+                    let (w, bit) = (q / WORD_BITS, 1u64 << (q % WORD_BITS));
+                    out[w] |= if code & 1 == 1 { bit } else { 0 };
+                    out[words + w] |= if code & 2 == 2 { bit } else { 0 };
+                }
+                out
+            }
+        };
         // Read-off on the leading product state: every support qubit
-        // must carry its stabilizing letter, each contributing its sign.
+        // must carry its stabilizing letter, and each contributes its
+        // sign, a −1 being two `i`-powers.
         let (lx, rest) = self.product.split_at(words);
         let (lz, ls) = rest.split_at(words);
-        let (x, z) = s.term.split_at(words);
-        let mut negatives = 0u32;
+        let (x, z) = row.split_at(words);
+        let mut off = 0;
         for w in 0..words {
             let supp = x[w] | z[w];
-            if supp & ((x[w] ^ lx[w]) | (z[w] ^ lz[w])) != 0 {
-                return 0.0;
-            }
-            negatives += (supp & ls[w]).count_ones();
+            off |= supp & ((x[w] ^ lx[w]) | (z[w] ^ lz[w]));
+            acc.hi ^= supp & ls[w];
         }
+        if off != 0 {
+            return 0.0;
+        }
+        let phase = (phase + acc.total()) % 4;
         debug_assert_eq!(phase % 2, 0, "Hermitian term acquired an imaginary phase");
-        if (u32::from(phase) / 2 + negatives) % 2 == 0 {
+        if phase == 0 {
             1.0
         } else {
             -1.0

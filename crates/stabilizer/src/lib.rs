@@ -14,15 +14,18 @@
 //! 1. **Compile** once per ansatz structure and noise model.
 //!    [`NoiseTemplate::compile`] flattens a (symbolic) circuit and a
 //!    [`StabilizerNoise`] into frame kernels and injection sites, with
-//!    site probabilities grouped into sampler classes.
+//!    site probabilities grouped into sampler classes. Once per search,
 //!    [`HeisenbergEvaluator::compile`] turns the ansatz's fixed gates into
-//!    Heisenberg-picture conjugation rows.
+//!    Heisenberg-picture conjugation rows and the Hamiltonian's terms
+//!    into letter lists.
 //! 2. **Bind** once per genome. [`NoiseTemplate::bind_clifford`] resolves
 //!    the rotation parities into a [`NoiseProgram`] without copying the
 //!    op list, and [`HeisenbergEvaluator::bind_clifford`] yields a
 //!    [`BoundEvaluator`] in `O(n)`.
-//! 3. **Estimate.** [`BoundEvaluator::estimate_energy`] takes the
-//!    noiseless values and the bound program. [`NoiseProgram::run_threaded`]
+//! 3. **Estimate.** [`BoundEvaluator::estimate_energy`] first takes each
+//!    term's noiseless value: its letters, mapped through the bound
+//!    rotations, select fixed-run rows whose product is read off the
+//!    prepared product state. Then [`NoiseProgram::run_threaded`]
 //!    propagates [`PauliFrames`], 64 shots per `u64` lane, drawing each
 //!    site's hits with [`eftq_numerics::BernoulliWords`]; shot batches
 //!    seed from their batch index, so results do not depend on the

@@ -1,8 +1,9 @@
 //! Equivalence suite for the Heisenberg-picture evaluator: for random
 //! Clifford genomes of every ansatz family the Clifford sweeps run (and
 //! of hand-built circuits exercising the whole fixed gate set), every
-//! expectation must equal `Tableau::expectation` on the bound circuit
-//! exactly, and the energy estimate must equal
+//! value of the compiled Hamiltonian's `expectations` and every
+//! single-string `expectation` must equal `Tableau::expectation` on the
+//! bound circuit exactly, and the energy estimate must equal
 //! `estimate_energy_program` bit for bit.
 
 use eftq_circuit::ansatz::{blocked_all_to_all, fully_connected_hea, linear_hea};
@@ -78,32 +79,75 @@ fn terms(n: usize, rng: &mut StdRng) -> Vec<PauliString> {
     out
 }
 
+/// The identity, every weight-1 term and the nearest-neighbour XX, YY
+/// and ZZ pairs: the terms of the sweeps' Hamiltonians and more. On 70
+/// and 100 qubits the pairs span two words, including the pair on
+/// qubits 63 and 64.
+fn model_terms(n: usize) -> Vec<PauliString> {
+    let mut out = vec![PauliString::identity(n)];
+    for q in 0..n {
+        for l in Pauli::NON_IDENTITY {
+            out.push(PauliString::single(n, q, l));
+        }
+    }
+    for q in 0..n - 1 {
+        for l in Pauli::NON_IDENTITY {
+            let mut p = PauliString::identity(n);
+            p.set_pauli(q, l);
+            p.set_pauli(q + 1, l);
+            out.push(p);
+        }
+    }
+    out
+}
+
 /// Checks `genomes` random genomes of `circuit` against the tableau on
-/// every term of [`terms`]; returns how many values were nonzero, so
-/// callers can assert the suite is not vacuous.
-fn check_circuit(circuit: &Circuit, genomes: usize, seed: u64) -> usize {
-    let mut rng = StdRng::seed_from_u64(seed);
+/// every string of `terms`. The evaluator is compiled against a
+/// `PauliSum` of the strings with coefficients of both signs, and both
+/// entry points are checked: every value of `expectations`, and
+/// `expectation` of each string with its own sign. Returns how many
+/// values of non-identity terms were nonzero, so callers can assert the
+/// suite is not vacuous.
+fn check_terms(
+    circuit: &Circuit,
+    terms: &[PauliString],
+    genomes: usize,
+    rng: &mut StdRng,
+) -> usize {
     let n = circuit.num_qubits();
-    let evaluator = HeisenbergEvaluator::compile(circuit);
+    let mut h = PauliSum::new(n);
+    for p in terms {
+        h.push(rng.gen_range(-1.0..1.0), p.clone());
+    }
+    let evaluator = HeisenbergEvaluator::compile(circuit, &h);
     assert_eq!(evaluator.num_params(), circuit.num_symbolic_params());
-    let terms = terms(n, &mut rng);
+    let mut values = vec![0.0; h.num_terms()];
     let mut nonzero = 0;
     for g in 0..genomes {
-        let genome = random_genome(evaluator.num_params(), &mut rng);
+        let genome = random_genome(evaluator.num_params(), rng);
         let bound = evaluator.bind_clifford(&genome);
+        bound.expectations(&mut values);
         let mut t = Tableau::new(n);
         t.run(&bind(circuit, &genome));
-        for p in &terms {
-            let want = t.expectation(p);
+        for ((p, term), &value) in terms.iter().zip(h.terms()).zip(&values) {
+            let want = t.expectation(&term.string);
+            assert_eq!(value, want, "genome {g} {genome:?}, term {p}\n{circuit}");
             assert_eq!(
                 bound.expectation(p),
-                want,
+                t.expectation(p),
                 "genome {g} {genome:?}, term {p}\n{circuit}"
             );
-            nonzero += usize::from(want != 0.0);
+            nonzero += usize::from(want != 0.0 && !p.is_identity());
         }
     }
     nonzero
+}
+
+/// [`check_terms`] on the terms of [`terms`].
+fn check_circuit(circuit: &Circuit, genomes: usize, seed: u64) -> usize {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let terms = terms(circuit.num_qubits(), &mut rng);
+    check_terms(circuit, &terms, genomes, &mut rng)
 }
 
 /// Fixed H/S/S†/X/Y/Z/CZ/SWAP/CX, fixed quarter-turn rotations on all
@@ -169,14 +213,42 @@ fn fully_bound_and_empty_circuits() {
 }
 
 #[test]
+fn hamiltonian_terms_match_tableau_on_fche_at_one_and_two_words() {
+    for n in [16, 70, 100] {
+        for depth in [1, 2] {
+            let mut rng = StdRng::seed_from_u64(10 * n as u64 + depth as u64);
+            let ansatz = fully_connected_hea(n, depth);
+            assert!(
+                check_terms(ansatz.circuit(), &model_terms(n), 2, &mut rng) > 0,
+                "{n} qubits, depth {depth}"
+            );
+        }
+    }
+}
+
+#[test]
+fn hamiltonian_terms_match_tableau_on_other_shapes() {
+    let circuits = [
+        blocked_all_to_all(16, 1).circuit().clone(),
+        linear_hea(6, 3).circuit().clone(),
+        hand_built(),
+    ];
+    for (seed, circuit) in (20..).zip(&circuits) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let terms = model_terms(circuit.num_qubits());
+        assert!(check_terms(circuit, &terms, 8, &mut rng) > 0, "{circuit}");
+    }
+}
+
+#[test]
 fn energy_estimate_matches_program_estimator_bit_for_bit() {
     let mut rng = StdRng::seed_from_u64(9);
     let ansatz = fully_connected_hea(12, 1);
-    let evaluator = HeisenbergEvaluator::compile(ansatz.circuit());
     let mut h = PauliSum::new(12);
     for p in terms(12, &mut rng).into_iter().step_by(7) {
         h.push(rng.gen_range(-1.0..1.0), p);
     }
+    let evaluator = HeisenbergEvaluator::compile(ansatz.circuit(), &h);
     let nisq = StabilizerNoise {
         depol_1q: 0.003,
         depol_2q: 0.02,
@@ -201,7 +273,6 @@ fn energy_estimate_matches_program_estimator_bit_for_bit() {
                 1,
             );
             let got = evaluator.bind_clifford(&genome).estimate_energy(
-                &h,
                 &program,
                 noise.meas_flip,
                 37,
@@ -218,13 +289,13 @@ fn energy_estimate_matches_program_estimator_bit_for_bit() {
 fn non_clifford_gate_rejected() {
     let mut c = Circuit::new(1);
     c.t(0);
-    let _ = HeisenbergEvaluator::compile(&c);
+    let _ = HeisenbergEvaluator::compile(&c, &PauliSum::new(1));
 }
 
 #[test]
 #[should_panic(expected = "genome entries")]
 fn short_genome_rejected() {
-    let evaluator = HeisenbergEvaluator::compile(linear_hea(3, 1).circuit());
+    let evaluator = HeisenbergEvaluator::compile(linear_hea(3, 1).circuit(), &PauliSum::new(3));
     let _ = evaluator.bind_clifford(&[0, 1]);
 }
 
@@ -284,7 +355,7 @@ proptest! {
     ) {
         let mut rng = StdRng::seed_from_u64(seed);
         let circuit = random_circuit(n, len, &mut rng);
-        let evaluator = HeisenbergEvaluator::compile(&circuit);
+        let evaluator = HeisenbergEvaluator::compile(&circuit, &PauliSum::new(n));
         for _ in 0..3 {
             let genome = random_genome(evaluator.num_params(), &mut rng);
             let bound = evaluator.bind_clifford(&genome);

@@ -577,114 +577,27 @@ where
     // shard input, and mark completed points. The artifact is scanned
     // first so its rows win ties — they are already on disk and must not
     // be re-appended.
-    let mut resumed: BTreeMap<usize, (Row, RowSource)> = BTreeMap::new(); // index into `points`
-                                                                          // Selected points whose artifact row is a `~sweep-error` quarantine
-                                                                          // record: they are *not* resumed (the error is retried, not trusted)
-                                                                          // and their presence marks the artifact for canonical compaction.
-    let mut error_points: BTreeSet<usize> = BTreeSet::new();
-    let mut unmatched_lines = 0usize;
-    let mut malformed_lines = 0usize;
-    // `file:line` locations of the first few offenders of each kind, so
-    // the resume report can say *where* the damage is, not just how much.
-    let mut unmatched_at: Vec<String> = Vec::new();
-    let mut malformed_at: Vec<String> = Vec::new();
-    fn note_line(at: &mut Vec<String>, path: &Path, lineno: usize) {
-        if at.len() < 8 {
-            at.push(format!("{}:{lineno}", path.display()));
-        }
-    }
-    let mut scan = |path: &PathBuf, source: RowSource| -> Result<(), String> {
-        let file = File::open(path)
-            .map_err(|e| format!("cannot read artifact {}: {e}", path.display()))?;
-        for (idx, line) in BufReader::new(file).lines().enumerate() {
-            let lineno = idx + 1;
-            let line = line.map_err(|e| format!("artifact {}: {e}", path.display()))?;
-            if line.trim().is_empty() {
-                continue;
-            }
-            let Ok(row) = parse_row(&line) else {
-                malformed_lines += 1;
-                note_line(&mut malformed_at, path, lineno);
-                continue;
-            };
-            // Configuration stamp: rows computed under a different
-            // configuration (e.g. a reduced run resumed by EFT_FULL)
-            // share axis values but not meaning — refuse them.
-            if row.label() == META_LABEL {
-                if row.get_str("spec") == Some(spec.name())
-                    && row.get_str("config") != spec.config()
-                {
-                    return Err(format!(
-                        "artifact {} was produced under configuration {:?}, \
-                         but this sweep runs under {:?} — use a different \
-                         --resume path (or delete the artifact) instead of \
-                         mixing configurations",
-                        path.display(),
-                        row.get_str("config").unwrap_or("<none>"),
-                        spec.config().unwrap_or("<none>"),
-                    ));
-                }
-                continue;
-            }
-            // A quarantine record from a previous run. From the
-            // artifact itself the point is *retried* (the error row is
-            // a tombstone, not a result); from a `--merge` input it is
-            // carried through as-is — the shard already spent its
-            // retry budget on it.
-            if row.is_sweep_error() && row.get_str("spec") == Some(spec.name()) {
-                match points.iter().position(|p| row_covers_point(&row, p)) {
-                    Some(i) if source == RowSource::Artifact => {
-                        error_points.insert(i);
-                    }
-                    Some(i) => {
-                        resumed.entry(i).or_insert((row, source));
-                    }
-                    None => {
-                        unmatched_lines += 1;
-                        note_line(&mut unmatched_at, path, lineno);
-                    }
-                }
-                continue;
-            }
-            let matched = row.label() == spec.name()
-                && points
-                    .iter()
-                    .position(|p| row_covers_point(&row, p))
-                    .map(|i| resumed.entry(i).or_insert((row, source)))
-                    .is_some();
-            if !matched {
-                unmatched_lines += 1;
-                note_line(&mut unmatched_at, path, lineno);
-            }
-        }
-        Ok(())
-    };
+    let mut scan = ResumeScan::default();
     if let Some(path) = &opts.artifact {
         if path.exists() {
-            scan(path, RowSource::Artifact)?;
+            scan.read(path, RowSource::Artifact, spec, &points)?;
         }
     }
     for path in &opts.merge {
         // Merge inputs are named explicitly, so a missing one is an
         // error (a lost shard), not an empty resume.
-        scan(path, RowSource::Merge)?;
+        scan.read(path, RowSource::Merge, spec, &points)?;
     }
-    // Foreign or damaged lines veto compaction (below) — say *where*
-    // they are, not just how many, so the operator can repair the file.
-    for (kind, count, at) in [
-        ("malformed", malformed_lines, &malformed_at),
-        ("unmatched", unmatched_lines, &unmatched_at),
-    ] {
-        if count > 0 {
-            eprintln!(
-                "[{}] resume: {count} {kind} line(s) kept verbatim at {}{} — \
-                 compaction stays disabled while they remain",
-                spec.name(),
-                at.join(", "),
-                if count > at.len() { ", ..." } else { "" },
-            );
-        }
+    for warning in scan.warnings(spec.name()) {
+        eprintln!("{warning}");
     }
+    let unmatched_lines = scan.stale.count + scan.sibling.count;
+    let malformed_lines = scan.malformed.count;
+    let ResumeScan {
+        resumed,
+        mut error_points,
+        ..
+    } = scan;
     // Any matched error line marks the artifact for compaction; a
     // quarantined point that also has a good row (an interrupted resume
     // appended the recomputation, then died before compacting) resumes
@@ -939,6 +852,156 @@ fn ends_without_newline(path: &std::path::Path) -> Result<bool, String> {
     f.read_exact(&mut last)
         .map_err(|e| format!("artifact {}: {e}", path.display()))?;
     Ok(last[0] != b'\n')
+}
+
+/// A count of artifact lines and the `file:line` locations of the first
+/// few, so the resume report can say *where* they are, not just how many.
+#[derive(Debug, Default)]
+struct LineTally {
+    count: usize,
+    at: Vec<String>,
+}
+
+impl LineTally {
+    fn note(&mut self, path: &Path, lineno: usize) {
+        self.count += 1;
+        if self.at.len() < 8 {
+            self.at.push(format!("{}:{lineno}", path.display()));
+        }
+    }
+
+    fn locations(&self) -> String {
+        let more = if self.count > self.at.len() {
+            ", ..."
+        } else {
+            ""
+        };
+        format!("{}{more}", self.at.join(", "))
+    }
+}
+
+/// What the resume scan found in the artifact and the `--merge` inputs.
+#[derive(Debug, Default)]
+struct ResumeScan {
+    /// Completed points, by index into the selected points.
+    resumed: BTreeMap<usize, (Row, RowSource)>,
+    /// Selected points whose artifact row is a `~sweep-error` quarantine
+    /// record: they are *not* resumed (the error is retried, not
+    /// trusted) and their presence marks the artifact for canonical
+    /// compaction.
+    error_points: BTreeSet<usize>,
+    /// Lines that failed to parse (e.g. a line truncated by a kill
+    /// mid-write).
+    malformed: LineTally,
+    /// This sweep's rows and quarantine records that match no selected
+    /// point: a stale grid, or points outside the filter or shard.
+    stale: LineTally,
+    /// Well-formed rows of other sweeps sharing the file.
+    sibling: LineTally,
+}
+
+impl ResumeScan {
+    /// Scans one artifact or merge input; the first row read for a point
+    /// wins.
+    fn read(
+        &mut self,
+        path: &Path,
+        source: RowSource,
+        spec: &SweepSpec,
+        points: &[SweepPoint],
+    ) -> Result<(), String> {
+        let file = File::open(path)
+            .map_err(|e| format!("cannot read artifact {}: {e}", path.display()))?;
+        for (idx, line) in BufReader::new(file).lines().enumerate() {
+            let lineno = idx + 1;
+            let line = line.map_err(|e| format!("artifact {}: {e}", path.display()))?;
+            if line.trim().is_empty() {
+                continue;
+            }
+            let Ok(row) = parse_row(&line) else {
+                self.malformed.note(path, lineno);
+                continue;
+            };
+            // Configuration stamp: rows computed under a different
+            // configuration (e.g. a reduced run resumed by EFT_FULL)
+            // share axis values but not meaning — refuse them.
+            if row.label() == META_LABEL {
+                if row.get_str("spec") == Some(spec.name())
+                    && row.get_str("config") != spec.config()
+                {
+                    return Err(format!(
+                        "artifact {} was produced under configuration {:?}, \
+                         but this sweep runs under {:?} — use a different \
+                         --resume path (or delete the artifact) instead of \
+                         mixing configurations",
+                        path.display(),
+                        row.get_str("config").unwrap_or("<none>"),
+                        spec.config().unwrap_or("<none>"),
+                    ));
+                }
+                continue;
+            }
+            let covered = || points.iter().position(|p| row_covers_point(&row, p));
+            // A quarantine record from a previous run. From the
+            // artifact itself the point is *retried* (the error row is
+            // a tombstone, not a result); from a `--merge` input it is
+            // carried through as-is — the shard already spent its
+            // retry budget on it.
+            if row.is_sweep_error() && row.get_str("spec") == Some(spec.name()) {
+                match covered() {
+                    Some(i) if source == RowSource::Artifact => {
+                        self.error_points.insert(i);
+                    }
+                    Some(i) => {
+                        self.resumed.entry(i).or_insert((row, source));
+                    }
+                    None => self.stale.note(path, lineno),
+                }
+                continue;
+            }
+            if row.label() != spec.name() {
+                self.sibling.note(path, lineno);
+                continue;
+            }
+            match covered() {
+                Some(i) => {
+                    self.resumed.entry(i).or_insert((row, source));
+                }
+                None => self.stale.note(path, lineno),
+            }
+        }
+        Ok(())
+    }
+
+    /// The resume report for stderr. Malformed and stale lines are
+    /// always reported: they veto compaction (see [`run_sweep`]) and
+    /// say the file is damaged or outdated. Rows of other sweeps are
+    /// expected in a shared artifact (one binary may run two sweeps into
+    /// one file), so they are reported only when their veto blocks a
+    /// compaction, that is, when this sweep's artifact holds a
+    /// quarantine record to compact.
+    fn warnings(&self, name: &str) -> Vec<String> {
+        let mut out = Vec::new();
+        for (kind, tally) in [("malformed", &self.malformed), ("unmatched", &self.stale)] {
+            if tally.count > 0 {
+                out.push(format!(
+                    "[{name}] resume: {} {kind} line(s) kept verbatim at {} — \
+                     compaction stays disabled while they remain",
+                    tally.count,
+                    tally.locations(),
+                ));
+            }
+        }
+        if self.sibling.count > 0 && !self.error_points.is_empty() {
+            out.push(format!(
+                "[{name}] resume: {} line(s) of other sweeps kept verbatim at {} — \
+                 they keep this sweep's quarantined rows from being compacted",
+                self.sibling.count,
+                self.sibling.locations(),
+            ));
+        }
+        out
+    }
 }
 
 /// Rewrites the artifact as configuration stamp + `rows` in point order
@@ -2154,6 +2217,82 @@ mod tests {
         assert_eq!(second.computed, 1, "only the quarantined point re-ran");
         assert_eq!(second.quarantined, 1);
         assert_eq!(std::fs::read(&again_path).unwrap(), first);
+    }
+
+    /// The resume warnings `run_sweep` prints for `spec` on `path`.
+    fn resume_warnings(spec: &SweepSpec, path: &Path) -> Vec<String> {
+        let mut scan = ResumeScan::default();
+        if path.exists() {
+            scan.read(path, RowSource::Artifact, spec, &spec.points())
+                .unwrap();
+        }
+        scan.warnings(spec.name())
+    }
+
+    #[test]
+    fn sibling_rows_warn_only_when_they_block_a_compaction() {
+        let toy = spec();
+        let sibling = SweepSpec::new("sibling").axis_ints("n", [1, 2]);
+        let sibling_eval = |p: &SweepPoint, _: &PointCtx| {
+            Row::new("sibling")
+                .int("n", p.int("n"))
+                .int("twice", 2 * p.int("n"))
+        };
+        let path = tmp("shared.jsonl");
+        let _ = std::fs::remove_file(&path);
+        let opts = SweepOptions {
+            artifact: Some(path.clone()),
+            ..SweepOptions::default()
+        };
+        // Two sweeps into one fresh artifact, as `fig11_crossover` runs.
+        assert!(resume_warnings(&toy, &path).is_empty());
+        run_sweep(&toy, &opts, eval).unwrap();
+        assert!(resume_warnings(&sibling, &path).is_empty());
+        let fresh = run_sweep(&sibling, &opts, sibling_eval).unwrap();
+        assert_eq!(fresh.unmatched_lines, 12, "still counted");
+        // Resumed: each sees the other's rows, and neither warns.
+        assert!(resume_warnings(&toy, &path).is_empty());
+        assert!(resume_warnings(&sibling, &path).is_empty());
+        let resumed = run_sweep(&toy, &opts, eval).unwrap();
+        assert_eq!((resumed.computed, resumed.unmatched_lines), (0, 2));
+
+        // A stale row of this sweep's own label warns, as before.
+        let stale = r#"{"row":"toy","model":"C","n":4,"p":0.25,"value":1}"#;
+        let mut content = std::fs::read_to_string(&path).unwrap();
+        content.push_str(stale);
+        content.push('\n');
+        std::fs::write(&path, &content).unwrap();
+        let warned = resume_warnings(&toy, &path);
+        assert_eq!(warned.len(), 1, "{warned:?}");
+        assert!(warned[0].contains("1 unmatched line(s)"), "{}", warned[0]);
+        assert!(resume_warnings(&sibling, &path).is_empty());
+
+        // A sibling row next to a quarantined row blocks its compaction
+        // and says so.
+        let _ = std::fs::remove_file(&path);
+        run_sweep(&toy, &opts, poisoned_eval).unwrap();
+        run_sweep(&sibling, &opts, sibling_eval).unwrap();
+        let warned = resume_warnings(&toy, &path);
+        assert_eq!(warned.len(), 1, "{warned:?}");
+        assert!(
+            warned[0].contains("2 line(s) of other sweeps"),
+            "{}",
+            warned[0]
+        );
+        assert!(resume_warnings(&sibling, &path).is_empty());
+        let healed = run_sweep(&toy, &opts, eval).unwrap();
+        assert_eq!((healed.computed, healed.quarantined), (1, 0));
+        let all = lines(&path);
+        assert!(
+            all.iter().any(|l| l.contains("~sweep-error")),
+            "not compacted"
+        );
+        assert_eq!(
+            all.iter()
+                .filter(|l| l.contains(r#""row":"sibling""#))
+                .count(),
+            2
+        );
     }
 
     #[test]
