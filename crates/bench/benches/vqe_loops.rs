@@ -102,9 +102,10 @@ fn bench_grouped_expectations(c: &mut Criterion) {
 /// One whole Figure-12 GA fitness evaluation at 100 qubits (Ising,
 /// NISQ, 16 shots) and its phases other than the noiseless values
 /// (`grouped_e0/heisenberg_ising_100q`): the noise-program bind and the
-/// frame run. The frame accumulation is the remainder. The evaluator's
-/// compile (ansatz and Hamiltonian) runs once per search and is listed
-/// for scale.
+/// fault replay. The frame accumulation is the remainder. The
+/// evaluator's compile (ansatz and Hamiltonian) and the fault sampling
+/// run once per search and are listed for scale; `frames_16shots` is the
+/// one-shot frame run, which draws its faults in place.
 fn bench_fitness_phases(c: &mut Criterion) {
     let mut group = c.benchmark_group("fitness_100q");
     group.sample_size(20);
@@ -114,7 +115,7 @@ fn bench_fitness_phases(c: &mut Criterion) {
     let ks: Vec<u8> = (0..ansatz.num_params()).map(|i| (i % 4) as u8).collect();
     let noise = ExecutionRegime::nisq_default().stabilizer_noise();
     let template = NoiseTemplate::compile(ansatz.circuit(), &noise);
-    let seed = SeedSequence::new(7);
+    let seed = SeedSequence::new(7).derive("pauli-frames");
     group.bench_function("heisenberg_compile", |b| {
         b.iter(|| HeisenbergEvaluator::compile(ansatz.circuit(), &h));
     });
@@ -124,14 +125,18 @@ fn bench_fitness_phases(c: &mut Criterion) {
     });
     let program = template.bind_clifford(&ks);
     group.bench_function("frames_16shots", |b| {
-        b.iter(|| program.run_threaded(16, seed.derive("pauli-frames"), 1));
+        b.iter(|| program.run_threaded(16, seed, 1));
     });
+    group.bench_function("sample_faults", |b| {
+        b.iter(|| template.sample_faults(16, seed));
+    });
+    let tape = template.sample_faults(16, seed);
     group.bench_function("fitness_nisq", |b| {
         b.iter(|| {
             let program = template.bind_clifford(&ks);
             evaluator
                 .bind_clifford(&ks)
-                .estimate_energy(&program, template.meas_flip(), 16, seed, 1)
+                .estimate_energy(&program, &tape, template.meas_flip())
                 .energy
         });
     });

@@ -58,8 +58,10 @@ pub struct CliffordVqeOutcome {
 /// [`NoiseTemplate`] before the search starts, and the circuit and the
 /// observable into a [`HeisenbergEvaluator`]: every genome shares the
 /// ansatz structure (layering, injection sites, probability classes,
-/// the fixed entangler) and the observable's terms, so the per-genome
-/// fitness only re-resolves its quarter turns — see
+/// the fixed entangler) and the observable's terms. Every genome is also
+/// scored under the same shot seed, so the search samples its faults
+/// once ([`NoiseTemplate::sample_faults`]) and the per-genome fitness
+/// only re-resolves its quarter turns and replays them — see
 /// [`clifford_vqe_with_template`] to share the template across several
 /// searches (e.g. a sweep's grid points).
 ///
@@ -113,13 +115,17 @@ pub fn clifford_vqe_with_template(
     // once per search (like the noise template): each fitness call only
     // resolves its rotations, and the Heisenberg-picture values are
     // bit-identical to walking the bound circuit through
-    // `estimate_energy_program`.
+    // `estimate_energy_program`. Every genome is scored under the same
+    // shot seed, and the faults it draws do not depend on the genome, so
+    // they are sampled once here (the stream `estimate_energy_program`
+    // draws for `shot_seed`) and replayed per genome.
     let evaluator = HeisenbergEvaluator::compile(ansatz.circuit(), observable);
+    let tape = template.sample_faults(shots, shot_seed.derive("pauli-frames"));
     let result = minimize_genetic(ansatz.num_params(), &ga, |genome| {
         let program = template.bind_clifford(genome);
         evaluator
             .bind_clifford(genome)
-            .estimate_energy(&program, template.meas_flip(), shots, shot_seed, 1)
+            .estimate_energy(&program, &tape, template.meas_flip())
             .energy
     });
     CliffordVqeOutcome {

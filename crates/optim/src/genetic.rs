@@ -84,7 +84,8 @@ pub struct GeneticResult {
 /// # Panics
 ///
 /// Panics if `genome_len == 0`, `population < 2`, `elites >= population`,
-/// `tournament == 0`, or `allele_count == 0`.
+/// `tournament == 0`, `allele_count == 0`, or `mutation_rate` is not in
+/// `[0, 1]` (NaN included), before any fitness evaluation.
 pub fn minimize_genetic<F>(genome_len: usize, config: &GeneticConfig, fitness: F) -> GeneticResult
 where
     F: Fn(&[u8]) -> f64 + Sync,
@@ -97,6 +98,11 @@ where
     );
     assert!(config.tournament >= 1, "tournament size must be positive");
     assert!(config.allele_count >= 1, "allele count must be positive");
+    assert!(
+        (0.0..=1.0).contains(&config.mutation_rate),
+        "mutation rate must lie in [0, 1], got {}",
+        config.mutation_rate
+    );
 
     let seeds = SeedSequence::new(config.seed);
     let mut rng = seeds.derive("ga-driver").rng();
@@ -375,5 +381,17 @@ mod tests {
             },
             |_| 0.0,
         );
+    }
+
+    #[test]
+    #[should_panic(expected = "mutation rate must lie in [0, 1]")]
+    fn nan_mutation_rate_rejected_before_any_evaluation() {
+        // A NaN rate used to pass the checks and panic inside the first
+        // mutation draw, after generation 0 had been scored.
+        let config = GeneticConfig {
+            mutation_rate: f64::NAN,
+            ..GeneticConfig::default()
+        };
+        let _ = minimize_genetic(4, &config, |_| panic!("fitness evaluated"));
     }
 }

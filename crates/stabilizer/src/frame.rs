@@ -17,16 +17,15 @@
 //! per-shot tableau path by the `frame_equivalence` property suite.
 //!
 //! Frames are filled by [`crate::NoiseProgram`], which walks its compiled
-//! gate kernels and hands each injection site's Bernoulli hit lists to
-//! the crate-private `inject_*_hits` injectors. [`PauliFrames::inject`]
-//! places one letter by hand.
+//! gate kernels and XORs each injection site's hit words into the frame
+//! planes, drawn in place or replayed from a [`crate::FaultTape`].
+//! [`PauliFrames::inject`] places one letter by hand.
 
 use crate::noise::StabilizerNoise;
 use crate::tableau::quarter_turns;
 use eftq_circuit::{Angle, Circuit, Gate};
 use eftq_numerics::words;
 use eftq_pauli::{Pauli, PauliString};
-use rand::Rng;
 
 const WORD_BITS: usize = 64;
 
@@ -219,95 +218,18 @@ impl PauliFrames {
         }
     }
 
-    /// XORs single-qubit depolarizing errors into the hit lanes of one
-    /// injection site. Each `(word, lane-mask)` pair receives a uniform
-    /// X/Y/Z letter per set lane, chosen word-parallel by
-    /// `uniform_nonzero_pair`. Pairs arrive in ascending word order with
-    /// non-empty masks, the shape
-    /// [`eftq_numerics::BernoulliWords::hit_site_runs`] hands to
-    /// [`crate::NoiseProgram`], so a site with no hits costs nothing.
+    /// XORs `x` into lane word `w` of qubit `q`'s X plane and `z` into
+    /// its Z plane: one hit word of an injection site, as
+    /// [`crate::NoiseProgram`]'s walk places it.
     ///
     /// # Panics
     ///
-    /// Panics if a pair's word index is out of range.
-    pub(crate) fn inject_depolarizing_hits<R: Rng + ?Sized>(
-        &mut self,
-        q: usize,
-        hits: &[(u32, u64)],
-        rng: &mut R,
-    ) {
-        let b = q * self.words;
-        for &(w, h) in hits {
-            let w = w as usize;
-            assert!(w < self.words, "hit word {w} out of range");
-            let (x, z) = uniform_nonzero_pair(h, rng);
-            self.fx[b + w] ^= x;
-            self.fz[b + w] ^= z;
-        }
-    }
-
-    /// Two-qubit form of [`PauliFrames::inject_depolarizing_hits`]: every
-    /// hit lane receives a uniform non-identity two-qubit Pauli (four
-    /// random words, `(0,0,0,0)` lanes redrawn).
-    ///
-    /// # Panics
-    ///
-    /// Panics if a pair's word index is out of range.
-    pub(crate) fn inject_depolarizing_2q_hits<R: Rng + ?Sized>(
-        &mut self,
-        a: usize,
-        b: usize,
-        hits: &[(u32, u64)],
-        rng: &mut R,
-    ) {
-        let (ba, bb) = (a * self.words, b * self.words);
-        for &(w, h) in hits {
-            let w = w as usize;
-            assert!(w < self.words, "hit word {w} out of range");
-            let mut xa = rng.gen::<u64>() & h;
-            let mut za = rng.gen::<u64>() & h;
-            let mut xb = rng.gen::<u64>() & h;
-            let mut zb = rng.gen::<u64>() & h;
-            let mut bad = h & !(xa | za | xb | zb);
-            while bad != 0 {
-                xa |= bad & rng.gen::<u64>();
-                za |= bad & rng.gen::<u64>();
-                xb |= bad & rng.gen::<u64>();
-                zb |= bad & rng.gen::<u64>();
-                bad &= !(xa | za | xb | zb);
-            }
-            self.fx[ba + w] ^= xa;
-            self.fz[ba + w] ^= za;
-            self.fx[bb + w] ^= xb;
-            self.fz[bb + w] ^= zb;
-        }
-    }
-
-    /// Twirled-idle form of [`PauliFrames::inject_depolarizing_hits`]:
-    /// one ladder-conditional letter per hit lane, drawn in ascending
-    /// shot order (the hit lists already encode the Bernoulli(`total`)
-    /// outcome).
-    ///
-    /// # Panics
-    ///
-    /// Panics if a pair's word index is out of range.
-    pub(crate) fn inject_idle_hits<R: Rng + ?Sized>(
-        &mut self,
-        q: usize,
-        hits: &[(u32, u64)],
-        ladder: &crate::noise::IdleLadder,
-        rng: &mut R,
-    ) {
-        for &(w, h) in hits {
-            let w = w as usize;
-            assert!(w < self.words, "hit word {w} out of range");
-            let mut bits = h;
-            while bits != 0 {
-                let s = w * WORD_BITS + bits.trailing_zeros() as usize;
-                self.inject(q, s, ladder.conditional_letter(rng));
-                bits &= bits - 1;
-            }
-        }
+    /// Panics if `q` or `w` is out of range.
+    #[inline]
+    pub(crate) fn flip_word(&mut self, q: usize, w: usize, x: u64, z: u64) {
+        assert!(w < self.words, "hit word {w} out of range");
+        self.fx[q * self.words + w] ^= x;
+        self.fz[q * self.words + w] ^= z;
     }
 
     /// One bit per shot: set iff that shot's frame anticommutes with `p`
@@ -375,23 +297,6 @@ impl PauliFrames {
     }
 }
 
-/// Word-parallel uniform draw over the three non-identity `(x, z)` letter
-/// pairs, restricted to the lanes of `h`: `(0, 0)` lanes are redrawn
-/// until none remain (each round keeps 3 of 4 candidates, so the loop
-/// terminates geometrically fast).
-#[inline]
-fn uniform_nonzero_pair<R: Rng + ?Sized>(h: u64, rng: &mut R) -> (u64, u64) {
-    let mut x = rng.gen::<u64>() & h;
-    let mut z = rng.gen::<u64>() & h;
-    let mut bad = h & !(x | z);
-    while bad != 0 {
-        x |= bad & rng.gen::<u64>();
-        z |= bad & rng.gen::<u64>();
-        bad &= !(x | z);
-    }
-    (x, z)
-}
-
 /// Propagates `shots` Pauli frames through a bound Clifford circuit under
 /// the given noise model, using the compiled batched sampler: the circuit
 /// and noise model are flattened into a [`crate::program::NoiseProgram`]
@@ -418,7 +323,7 @@ mod tests {
     use crate::noise::TwirledIdle;
     use crate::reference::{inject_depolarizing, inject_depolarizing_2q, inject_idle};
     use rand::rngs::StdRng;
-    use rand::SeedableRng;
+    use rand::{Rng, SeedableRng};
 
     fn pauli(s: &str) -> PauliString {
         s.parse().unwrap()

@@ -82,10 +82,9 @@
 //! ```
 
 use crate::noise::{accumulate_energy, NoisyCliffordRun};
-use crate::program::NoiseProgram;
+use crate::program::{FaultTape, NoiseProgram};
 use crate::tableau::quarter_turns;
 use eftq_circuit::{Angle, Circuit, Gate};
-use eftq_numerics::SeedSequence;
 use eftq_pauli::{PauliString, PauliSum};
 use std::f64::consts::FRAC_PI_2;
 
@@ -708,20 +707,23 @@ impl BoundEvaluator<'_> {
     }
 
     /// Noisy energy estimate of the compiled Hamiltonian on the bound
-    /// state: these noiseless expectations fed through `program`'s Pauli
-    /// frames. Bit-identical to [`crate::estimate_energy_program`] on the
-    /// bound circuit with the same Hamiltonian and arguments.
+    /// state: these noiseless expectations fed through the Pauli frames
+    /// of `program` replaying `tape` ([`NoiseProgram::run_faults`]). A
+    /// program without injection sites runs no walk. With `tape` sampled
+    /// by the template that bound `program`, under
+    /// `seed.derive("pauli-frames")`, this is bit-identical to
+    /// [`crate::estimate_energy_program`] on the bound circuit with the
+    /// same Hamiltonian, `meas_flip`, shot count and `seed`.
     ///
     /// # Panics
     ///
-    /// Panics if `shots == 0` or the program size mismatches.
+    /// Panics if the program size mismatches, or if `program` has sites
+    /// and was bound from a template other than the tape's.
     pub fn estimate_energy(
         &self,
         program: &NoiseProgram,
+        tape: &FaultTape,
         meas_flip: f64,
-        shots: usize,
-        seed: SeedSequence,
-        threads: usize,
     ) -> NoisyCliffordRun {
         let ev = self.evaluator;
         assert_eq!(
@@ -736,9 +738,8 @@ impl BoundEvaluator<'_> {
             &e0s,
             program,
             meas_flip,
-            shots,
-            seed,
-            threads,
+            tape.num_shots(),
+            || program.run_faults(tape),
         )
     }
 

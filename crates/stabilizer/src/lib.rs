@@ -5,11 +5,11 @@
 //! circuit that a stabilizer simulator evaluates at 16–100+ qubits. This
 //! crate is the reproduction's substitute for Stim.
 //!
-//! # One path: compile → bind → estimate
+//! # One path: compile → sample → bind → estimate
 //!
 //! A noisy energy estimate is a noiseless value per Hamiltonian term,
 //! sign-flipped per shot where that shot's Pauli frame anticommutes with
-//! the term. The crate computes it in three steps:
+//! the term. A genetic search computes it in four steps:
 //!
 //! 1. **Compile** once per ansatz structure and noise model.
 //!    [`NoiseTemplate::compile`] flattens a (symbolic) circuit and a
@@ -18,23 +18,30 @@
 //!    [`HeisenbergEvaluator::compile`] turns the ansatz's fixed gates into
 //!    Heisenberg-picture conjugation rows and the Hamiltonian's terms
 //!    into letter lists.
-//! 2. **Bind** once per genome. [`NoiseTemplate::bind_clifford`] resolves
+//! 2. **Sample** once per search. Every genome is scored under the same
+//!    shot seed, and the faults a run draws do not depend on the genome,
+//!    so [`NoiseTemplate::sample_faults`] draws each site's hits with
+//!    [`eftq_numerics::BernoulliWords`] and its error letters once, into a
+//!    [`FaultTape`]. Shot batches seed from their batch index, so results
+//!    do not depend on the thread count.
+//! 3. **Bind** once per genome. [`NoiseTemplate::bind_clifford`] resolves
 //!    the rotation parities into a [`NoiseProgram`] without copying the
 //!    op list, and [`HeisenbergEvaluator::bind_clifford`] yields a
 //!    [`BoundEvaluator`] in `O(n)`.
-//! 3. **Estimate.** [`BoundEvaluator::estimate_energy`] first takes each
+//! 4. **Estimate.** [`BoundEvaluator::estimate_energy`] first takes each
 //!    term's noiseless value: its letters, mapped through the bound
 //!    rotations, select fixed-run rows whose product is read off the
-//!    prepared product state. Then [`NoiseProgram::run_threaded`]
-//!    propagates [`PauliFrames`], 64 shots per `u64` lane, drawing each
-//!    site's hits with [`eftq_numerics::BernoulliWords`]; shot batches
-//!    seed from their batch index, so results do not depend on the
-//!    thread count. The shot energies then accumulate term by term.
+//!    prepared product state. Then [`NoiseProgram::run_faults`]
+//!    propagates [`PauliFrames`], 64 shots per `u64` lane, XORing the
+//!    tape's fault words in at their sites. The shot energies then
+//!    accumulate term by term.
 //!
 //! [`estimate_energy`], [`estimate_energy_threaded`] and
-//! [`estimate_energy_program`] run the same three steps for a bound
-//! circuit, with the noiseless values taken from one [`Tableau`] walk.
-//! They accumulate in the same floating-point order as
+//! [`estimate_energy_program`] make one estimate of a bound circuit,
+//! with the noiseless values taken from one [`Tableau`] walk. Their seed
+//! is used once, so [`NoiseProgram::run_threaded`] draws the faults in
+//! place as its walk reaches each site instead of sampling a tape. They
+//! accumulate in the same floating-point order as
 //! [`BoundEvaluator::estimate_energy`], bit for bit.
 //!
 //! # Modules
@@ -48,7 +55,7 @@
 //!   is `F·C|0…0⟩`, and `⟨P⟩` per shot is the noiseless value
 //!   sign-flipped iff the frame `F` anticommutes with `P`.
 //! * [`program`] — the compiled noise engine ([`NoiseTemplate`],
-//!   [`NoiseProgram`]).
+//!   [`NoiseProgram`], [`FaultTape`]).
 //! * [`noise`] — the Pauli channels (depolarizing, bit-flip, Pauli-twirled
 //!   thermal relaxation per Ghosh et al.) and the energy estimators.
 //! * [`heisenberg`] — the genetic search's noiseless values without a
@@ -96,5 +103,5 @@ pub use noise::{
     estimate_energy, estimate_energy_program, estimate_energy_threaded, NoisyCliffordRun,
     StabilizerNoise,
 };
-pub use program::{NoiseProgram, NoiseTemplate};
+pub use program::{FaultTape, NoiseProgram, NoiseTemplate};
 pub use tableau::Tableau;

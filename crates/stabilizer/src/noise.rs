@@ -203,9 +203,10 @@ pub fn estimate_energy(
 /// Each 256-shot batch derives its RNG stream from the root seed and its
 /// own batch index, so the result is deterministic for a fixed seed and
 /// independent of `threads` — `threads ∈ {1, 2, 8}` all return the same
-/// bits. Use this for large re-evaluation shot budgets; inside a genetic
-/// search the GA already parallelizes across genomes, so its fitness
-/// closure keeps `threads = 1`.
+/// bits. Use this for large re-evaluation shot budgets. A genetic search
+/// scores every genome under one seed, so it samples that seed's faults
+/// once ([`crate::NoiseTemplate::sample_faults`]) and replays them per
+/// genome ([`crate::BoundEvaluator::estimate_energy`]).
 ///
 /// # Panics
 ///
@@ -231,11 +232,13 @@ pub fn estimate_energy_threaded(
 }
 
 /// [`estimate_energy_threaded`] with a *precompiled* noise program —
-/// the hot-loop entry point when many estimates share one compilation
-/// (a genetic search binding a [`crate::NoiseTemplate`] per genome, or
-/// a sweep runner's per-(circuit, noise) artifact cache). Bit-identical
-/// to compiling inline: `estimate_energy_threaded` is this function fed
-/// by [`crate::NoiseProgram::compile`].
+/// the entry point when many estimates share one compilation (programs
+/// bound from one [`crate::NoiseTemplate`], or a sweep runner's
+/// per-(circuit, noise) artifact cache). Bit-identical to compiling
+/// inline: `estimate_energy_threaded` is this function fed by
+/// [`crate::NoiseProgram::compile`]. The faults are drawn in place
+/// ([`crate::NoiseProgram::run_threaded`]) under
+/// `seed.derive("pauli-frames")`.
 ///
 /// `meas_flip` is the readout flip probability the damping factors use
 /// (the program itself only carries gate/idle injection sites); pass the
@@ -273,12 +276,16 @@ pub fn estimate_energy_program(
         .iter()
         .map(|t| ideal.expectation(&t.string))
         .collect();
-    accumulate_energy(observable, &e0s, program, meas_flip, shots, seed, threads)
+    accumulate_energy(observable, &e0s, program, meas_flip, shots, || {
+        program.run_threaded(shots, seed.derive("pauli-frames"), threads)
+    })
 }
 
 /// The shot energies of every compiled estimator: each term's noiseless
-/// value `e0s[k]`, damped by readout, sign-flipped per shot where
-/// `program`'s Pauli frame anticommutes with the term. Shared by
+/// value `e0s[k]`, damped by readout, sign-flipped per shot where the
+/// shot's Pauli frame anticommutes with the term. `frames` runs
+/// `program` for `shots` shots; a program without injection sites skips
+/// it, since all its frames are the identity. Shared by
 /// [`estimate_energy_program`] and
 /// [`crate::BoundEvaluator::estimate_energy`], so both accumulate in the
 /// same floating-point order.
@@ -288,8 +295,7 @@ pub(crate) fn accumulate_energy(
     program: &crate::program::NoiseProgram,
     meas_flip: f64,
     shots: usize,
-    seed: SeedSequence,
-    threads: usize,
+    frames: impl FnOnce() -> crate::frame::PauliFrames,
 ) -> NoisyCliffordRun {
     assert!(shots > 0, "at least one shot required");
     assert_eq!(
@@ -323,7 +329,7 @@ pub(crate) fn accumulate_energy(
             shots,
         };
     }
-    let frames = program.run_threaded(shots, seed.derive("pauli-frames"), threads);
+    let frames = frames();
     let mut energies = vec![0.0f64; shots];
     let mut plane = vec![0u64; shots.div_ceil(64)];
     for (term, &e0) in observable.terms().iter().zip(e0s) {

@@ -31,14 +31,40 @@
 //!   entangler form one run per circuit layer, separated by that
 //!   layer's site runs; with no sites they form a single run.
 //!
+//! # Sampling apart from propagation
+//!
+//! A batch's draws depend on the template's site runs, probability
+//! classes and idle ladder, the shot count and the seed, never on the
+//! genome: [`NoiseTemplate::bind_clifford`] changes only which rotation
+//! kernels the walk applies. So the faults can be sampled apart from the
+//! walk, as Stim's frame simulator separates them (Gidney, *Stim: a fast
+//! stabilizer circuit simulator*, Quantum 5, 497, 2021). One draw body
+//! draws a site run's hits and letters and hands every hit word to a
+//! sink, and one walk body applies the kernels and hands every site run
+//! to its injection source:
+//!
+//! * [`NoiseProgram::run_threaded`] draws each site run's faults in place,
+//!   straight into the frames, when the walk reaches it: a seed used
+//!   once (a re-evaluation) is cheapest drawn where it lands;
+//! * [`NoiseTemplate::sample_faults`] runs only the draws and records
+//!   every hit word as a `(qubit, lane word, x, z)` XOR at its site run,
+//!   a [`FaultTape`]; [`NoiseProgram::run_faults`] walks the kernels of
+//!   any program bound from that template and XORs the recorded words
+//!   where their site runs stand. A genetic search scores every genome
+//!   under one shot seed, so it samples once and replays per genome.
+//!
+//! Both give the same frames bit for bit: the tape holds exactly the
+//! words the in-place draw XORs, at the same op, and no kernel sits
+//! between the sites of one run.
+//!
 //! # Batching and seeding
 //!
 //! Shots are sharded into fixed 256-shot batches ([`BATCH_SHOTS`]). Batch
 //! `b` seeds its RNG as `seed.derive_index(b)`, so every batch's content
 //! is a pure function of the root seed and its index — results are
-//! bit-identical whether batches run sequentially or on any number of
-//! [`NoiseProgram::run_threaded`] crossbeam workers, and independent of
-//! how the scheduler interleaves them. The batch size is a compromise:
+//! bit-identical whether batches run sequentially, on any number of
+//! [`NoiseProgram::run_threaded`] crossbeam workers or from a fault
+//! tape, and independent of how the scheduler interleaves them. The batch size is a compromise:
 //! small enough that modest shot budgets split across workers, large
 //! enough that the per-batch circuit walk and sampler setup amortize.
 
@@ -47,6 +73,8 @@ use crate::noise::{IdleLadder, StabilizerNoise};
 use crossbeam::thread;
 use eftq_circuit::{Circuit, Gate};
 use eftq_numerics::{BernoulliWords, SeedSequence};
+use rand::rngs::StdRng;
+use rand::Rng;
 use std::sync::Arc;
 
 /// Shots per batch: the unit of seed derivation and thread scheduling
@@ -85,23 +113,36 @@ enum Op {
     Cz { a: u32, b: u32 },
     /// SWAP conjugation.
     Swap { a: u32, b: u32 },
-    /// Run of single-qubit depolarizing sites (uniform X/Y/Z letter per
-    /// hit).
-    Depol1Run { class: u32, start: u32, len: u32 },
-    /// Run of two-qubit depolarizing sites (uniform non-identity pair
-    /// per hit).
-    Depol2Run { class: u32, start: u32, len: u32 },
-    /// Run of twirled-idle sites (ladder-conditional letter per hit).
-    IdleRun { class: u32, start: u32, len: u32 },
+    /// Run of injection sites of one kind and probability class.
+    Sites(SiteRun),
+}
+
+/// What an injection site draws per hit.
+#[derive(Clone, Copy, Debug, PartialEq)]
+enum SiteKind {
+    /// Single-qubit depolarizing: a uniform X/Y/Z letter.
+    Depol1,
+    /// Two-qubit depolarizing: a uniform non-identity pair.
+    Depol2,
+    /// Twirled idle: a ladder-conditional letter.
+    Idle,
+}
+
+/// A run of `len` consecutive injection sites of one kind and one
+/// probability class `class`, their qubits at `args[start .. start + len]`.
+#[derive(Clone, Copy, Debug, PartialEq)]
+struct SiteRun {
+    kind: SiteKind,
+    class: u32,
+    start: u32,
+    len: u32,
 }
 
 /// Run flavour, used only while fusing CX kernels and sites into runs.
 #[derive(Clone, Copy, Debug, PartialEq)]
 enum RunKind {
     Cx,
-    Depol1,
-    Depol2,
-    Idle,
+    Sites(SiteKind),
 }
 
 impl Op {
@@ -109,9 +150,7 @@ impl Op {
     fn run_mut(&mut self) -> Option<(RunKind, u32, &mut u32)> {
         match self {
             Op::CxRun { len, .. } => Some((RunKind::Cx, 0, len)),
-            Op::Depol1Run { class, len, .. } => Some((RunKind::Depol1, *class, len)),
-            Op::Depol2Run { class, len, .. } => Some((RunKind::Depol2, *class, len)),
-            Op::IdleRun { class, len, .. } => Some((RunKind::Idle, *class, len)),
+            Op::Sites(run) => Some((RunKind::Sites(run.kind), run.class, &mut run.len)),
             _ => None,
         }
     }
@@ -141,9 +180,12 @@ fn push_run(
     let (start, len) = (idx, 1);
     ops.push(TemplateOp::Fixed(match kind {
         RunKind::Cx => Op::CxRun { start, len },
-        RunKind::Depol1 => Op::Depol1Run { class, start, len },
-        RunKind::Depol2 => Op::Depol2Run { class, start, len },
-        RunKind::Idle => Op::IdleRun { class, start, len },
+        RunKind::Sites(kind) => Op::Sites(SiteRun {
+            kind,
+            class,
+            start,
+            len,
+        }),
     }));
 }
 
@@ -342,7 +384,7 @@ impl NoiseTemplate {
         let idle = noise.idle.ladder();
         ops.reserve(2 * circuit.len());
         let mut busy = vec![false; n];
-        let mut pending: Vec<(RunKind, u32, u32, u32)> = Vec::new();
+        let mut pending: Vec<(SiteKind, u32, u32, u32)> = Vec::new();
         for layer in circuit.layers() {
             busy.fill(false);
             pending.clear();
@@ -362,14 +404,14 @@ impl NoiseTemplate {
                 let site = match *g {
                     Gate::Cx(a, b) | Gate::Cz(a, b) | Gate::Swap(a, b) => {
                         class_of(noise.depol_2q, &mut classes)
-                            .map(|class| (RunKind::Depol2, class, a as u32, b as u32))
+                            .map(|class| (SiteKind::Depol2, class, a as u32, b as u32))
                     }
                     Gate::Rz(q, _) => class_of(noise.depol_rz, &mut classes)
-                        .map(|class| (RunKind::Depol1, class, q as u32, 0)),
+                        .map(|class| (SiteKind::Depol1, class, q as u32, 0)),
                     Gate::Rx(q, _) | Gate::Ry(q, _) => class_of(noise.depol_rot_xy, &mut classes)
-                        .map(|class| (RunKind::Depol1, class, q as u32, 0)),
+                        .map(|class| (SiteKind::Depol1, class, q as u32, 0)),
                     _ => class_of(noise.depol_1q, &mut classes)
-                        .map(|class| (RunKind::Depol1, class, qs[0] as u32, 0)),
+                        .map(|class| (SiteKind::Depol1, class, qs[0] as u32, 0)),
                 };
                 if let Some(site) = site {
                     pending.push(site);
@@ -380,7 +422,7 @@ impl NoiseTemplate {
                     if !b {
                         let class = class_of(idle.total(), &mut classes)
                             .expect("positive idle total has a class");
-                        pending.push((RunKind::Idle, class, q as u32, 0));
+                        pending.push((SiteKind::Idle, class, q as u32, 0));
                     }
                 }
             }
@@ -390,7 +432,7 @@ impl NoiseTemplate {
             // (e.g. measurement-only layers); correctness only needs the
             // site sequence, which fusion preserves.
             for &(kind, class, a, b) in &pending {
-                push_run(&mut ops, &mut args, kind, class, [a, b]);
+                push_run(&mut ops, &mut args, RunKind::Sites(kind), class, [a, b]);
                 sites += 1;
             }
         }
@@ -440,6 +482,54 @@ impl NoiseTemplate {
             classes: Arc::clone(&self.classes),
             idle: self.idle,
             sites: self.sites,
+        }
+    }
+
+    /// Samples the faults of a `shots`-shot run under `seed` once, for
+    /// replay into every program this template binds:
+    /// `template.bind_clifford(genome).run_faults(&tape)` equals
+    /// `template.bind_clifford(genome).run_threaded(shots, seed, threads)`
+    /// bit for bit, for every genome. Batch by batch, the sampling draws
+    /// exactly the RNG stream a run draws.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `shots == 0`.
+    pub fn sample_faults(&self, shots: usize, seed: SeedSequence) -> FaultTape {
+        assert!(shots > 0, "at least one shot required");
+        let batches = (0..shots.div_ceil(BATCH_SHOTS))
+            .map(|b| {
+                let mut draws = BatchDraws::new(
+                    &self.classes,
+                    &self.args,
+                    &self.idle,
+                    batch_shots(shots, b),
+                    seed.derive_index(b as u64),
+                );
+                let mut batch = BatchFaults {
+                    faults: Vec::new(),
+                    ends: Vec::new(),
+                };
+                for op in self.ops.iter() {
+                    if let TemplateOp::Fixed(Op::Sites(run)) = *op {
+                        draws.site_run(run, |q, w, x, z| {
+                            batch.faults.push(Fault {
+                                q: q as u32,
+                                w: w as u32,
+                                x,
+                                z,
+                            })
+                        });
+                        batch.ends.push(batch.faults.len() as u32);
+                    }
+                }
+                batch
+            })
+            .collect();
+        FaultTape {
+            ops: Arc::clone(&self.ops),
+            shots,
+            batches,
         }
     }
 
@@ -575,24 +665,24 @@ impl NoiseProgram {
     /// `seed.derive_index(b)`, so the output is bit-identical for every
     /// `threads` value (including 1).
     ///
+    /// Each batch draws its faults straight into its frames as the walk
+    /// reaches their sites: a seed used once is cheapest drawn in place.
+    /// A seed shared by many programs of one template is cheaper sampled
+    /// once with [`NoiseTemplate::sample_faults`] and replayed with
+    /// [`NoiseProgram::run_faults`], which gives the same frames.
+    ///
     /// # Panics
     ///
     /// Panics if `shots == 0` or a worker panics.
     pub fn run_threaded(&self, shots: usize, seed: SeedSequence, threads: usize) -> PauliFrames {
         assert!(shots > 0, "at least one shot required");
         let batches = shots.div_ceil(BATCH_SHOTS);
-        let batch_shots = |b: usize| (shots - b * BATCH_SHOTS).min(BATCH_SHOTS);
-        if batches == 1 {
-            return self.run_batch(shots, seed.derive_index(0));
+        let run_batch =
+            |b: usize| self.run_batch(batch_shots(shots, b), seed.derive_index(b as u64));
+        if threads <= 1 || batches == 1 {
+            return self.spliced(shots, run_batch);
         }
         let mut out = PauliFrames::new(self.n, shots);
-        if threads <= 1 {
-            for b in 0..batches {
-                let f = self.run_batch(batch_shots(b), seed.derive_index(b as u64));
-                out.splice_words(b * BATCH_WORDS, &f);
-            }
-            return out;
-        }
         let workers = threads.min(batches);
         let chunk = batches.div_ceil(workers);
         thread::scope(|scope| {
@@ -600,11 +690,7 @@ impl NoiseProgram {
                 .map(|w| {
                     let lo = w * chunk;
                     let hi = (lo + chunk).min(batches);
-                    scope.spawn(move |_| {
-                        (lo..hi)
-                            .map(|b| self.run_batch(batch_shots(b), seed.derive_index(b as u64)))
-                            .collect::<Vec<_>>()
-                    })
+                    scope.spawn(move |_| (lo..hi).map(run_batch).collect::<Vec<_>>())
                 })
                 .collect();
             for (w, handle) in handles.into_iter().enumerate() {
@@ -618,20 +704,66 @@ impl NoiseProgram {
         out
     }
 
-    /// Evaluates one batch: fresh samplers, fresh RNG, one circuit walk.
+    /// Replays a fault tape through this program's kernels: the frames
+    /// [`NoiseProgram::run_threaded`] returns for the tape's shot count
+    /// and seed, bit for bit. Every site run XORs the words the tape
+    /// recorded for it, and no sampler or RNG runs.
     ///
-    /// Site runs go through [`BernoulliWords::hit_site_runs`], which hands
-    /// each site its hit list; a run with no hits in the batch — the
-    /// overwhelmingly common case at NISQ rates — costs one division.
+    /// # Panics
+    ///
+    /// Panics if the tape was sampled from a template other than the one
+    /// that bound this program.
+    pub fn run_faults(&self, tape: &FaultTape) -> PauliFrames {
+        assert!(
+            Arc::ptr_eq(&self.ops, &tape.ops),
+            "fault tape was sampled from another template"
+        );
+        self.spliced(tape.shots, |b| {
+            let batch = &tape.batches[b];
+            let mut frames = PauliFrames::new(self.n, batch_shots(tape.shots, b));
+            let (mut from, mut ends) = (0, batch.ends.iter());
+            self.walk(&mut frames, |frames, _| {
+                let to = *ends.next().expect("one tape entry per site run") as usize;
+                for f in &batch.faults[from..to] {
+                    frames.flip_word(f.q as usize, f.w as usize, f.x, f.z);
+                }
+                from = to;
+            });
+            frames
+        })
+    }
+
+    /// Evaluates every batch of `shots` on this thread, in order, and
+    /// splices them into one frame set.
+    fn spliced(&self, shots: usize, mut batch: impl FnMut(usize) -> PauliFrames) -> PauliFrames {
+        let batches = shots.div_ceil(BATCH_SHOTS);
+        if batches == 1 {
+            return batch(0);
+        }
+        let mut out = PauliFrames::new(self.n, shots);
+        for b in 0..batches {
+            out.splice_words(b * BATCH_WORDS, &batch(b));
+        }
+        out
+    }
+
+    /// Evaluates one batch with its faults drawn in place: fresh
+    /// samplers, fresh RNG, one walk.
     fn run_batch(&self, shots: usize, seed: SeedSequence) -> PauliFrames {
-        let mut rng = seed.rng();
-        let mut samplers: Vec<BernoulliWords> = self
-            .classes
-            .iter()
-            .map(|&p| BernoulliWords::new(p))
-            .collect();
+        let mut draws = BatchDraws::new(&self.classes, &self.args, &self.idle, shots, seed);
         let mut frames = PauliFrames::new(self.n, shots);
-        let mut hits: Vec<(u32, u64)> = Vec::with_capacity(BATCH_WORDS);
+        self.walk(&mut frames, |frames, run| {
+            draws.site_run(run, |q, w, x, z| frames.flip_word(q, w, x, z))
+        });
+        frames
+    }
+
+    /// The one walk: applies the bound kernels to `frames` in op order
+    /// and hands every site run to `inject` at its place. No kernel sits
+    /// between the sites of one run, so `inject` may XOR a run's words
+    /// in any order.
+    #[inline(always)]
+    fn walk(&self, frames: &mut PauliFrames, mut inject: impl FnMut(&mut PauliFrames, SiteRun)) {
         for op in self.ops.iter() {
             let op = match *op {
                 TemplateOp::Fixed(op) => op,
@@ -655,48 +787,177 @@ impl NoiseProgram {
                 }
                 Op::Cz { a, b } => frames.kernel_cz(a as usize, b as usize),
                 Op::Swap { a, b } => frames.kernel_swap(a as usize, b as usize),
-                Op::Depol1Run { class, start, len } => {
-                    let args = &self.args[start as usize..(start + len) as usize];
-                    samplers[class as usize].hit_site_runs(
-                        shots,
-                        len as usize,
-                        &mut rng,
-                        &mut hits,
-                        |s, h, rng| frames.inject_depolarizing_hits(args[s][0] as usize, h, rng),
-                    );
-                }
-                Op::Depol2Run { class, start, len } => {
-                    let args = &self.args[start as usize..(start + len) as usize];
-                    samplers[class as usize].hit_site_runs(
-                        shots,
-                        len as usize,
-                        &mut rng,
-                        &mut hits,
-                        |s, h, rng| {
-                            frames.inject_depolarizing_2q_hits(
-                                args[s][0] as usize,
-                                args[s][1] as usize,
-                                h,
-                                rng,
-                            )
-                        },
-                    );
-                }
-                Op::IdleRun { class, start, len } => {
-                    let args = &self.args[start as usize..(start + len) as usize];
-                    let ladder = &self.idle;
-                    samplers[class as usize].hit_site_runs(
-                        shots,
-                        len as usize,
-                        &mut rng,
-                        &mut hits,
-                        |s, h, rng| frames.inject_idle_hits(args[s][0] as usize, h, ladder, rng),
-                    );
-                }
+                Op::Sites(run) => inject(frames, run),
             }
         }
-        frames
     }
+}
+
+/// Shots in batch `b` of a `shots`-shot run.
+fn batch_shots(shots: usize, b: usize) -> usize {
+    (shots - b * BATCH_SHOTS).min(BATCH_SHOTS)
+}
+
+/// The faults of every shot of one run, sampled once by
+/// [`NoiseTemplate::sample_faults`] and replayed by
+/// [`NoiseProgram::run_faults`] into any program bound from the same
+/// template (see the [module docs](self) for why the faults do not
+/// depend on the genome). Per batch the tape holds, in op order, every
+/// hit word as the XOR it makes into the frames, `(qubit, lane word, x,
+/// z)`, and where each site run's words end.
+#[derive(Clone, Debug)]
+pub struct FaultTape {
+    /// The op list of the sampling template, to recognise its programs.
+    ops: Arc<Vec<TemplateOp>>,
+    shots: usize,
+    batches: Vec<BatchFaults>,
+}
+
+/// One batch of a [`FaultTape`].
+#[derive(Clone, Debug)]
+struct BatchFaults {
+    /// The batch's fault words, in op order.
+    faults: Vec<Fault>,
+    /// Per site run, in op order: the end of its words in `faults`.
+    ends: Vec<u32>,
+}
+
+/// One recorded hit word: lane word `w` of qubit `q` flips by `x` in the
+/// X plane and by `z` in the Z plane.
+#[derive(Clone, Copy, Debug)]
+struct Fault {
+    q: u32,
+    w: u32,
+    x: u64,
+    z: u64,
+}
+
+impl FaultTape {
+    /// Shots the tape covers.
+    pub fn num_shots(&self) -> usize {
+        self.shots
+    }
+}
+
+/// One batch's share of the sampling stream: its RNG (seeded from the
+/// batch index), one sampler per probability class and the hit-list
+/// scratch. Site runs must be drawn in op order.
+struct BatchDraws<'a> {
+    shots: usize,
+    rng: StdRng,
+    samplers: Vec<BernoulliWords>,
+    hits: Vec<(u32, u64)>,
+    args: &'a [[u32; 2]],
+    idle: &'a IdleLadder,
+}
+
+impl<'a> BatchDraws<'a> {
+    fn new(
+        classes: &[f64],
+        args: &'a [[u32; 2]],
+        idle: &'a IdleLadder,
+        shots: usize,
+        seed: SeedSequence,
+    ) -> Self {
+        BatchDraws {
+            shots,
+            rng: seed.rng(),
+            samplers: classes.iter().map(|&p| BernoulliWords::new(p)).collect(),
+            hits: Vec::with_capacity(BATCH_WORDS),
+            args,
+            idle,
+        }
+    }
+
+    /// The one draw body: draws a site run's hits with
+    /// [`BernoulliWords::hit_site_runs`] (a run with no hits in the
+    /// batch, the common case at NISQ rates, costs one division) and each
+    /// hit word's error letters, and hands every word to
+    /// `sink(q, w, x, z)`: lane word `w` of qubit `q` flips by `x` in the
+    /// X plane and by `z` in the Z plane. A single-qubit depolarizing hit
+    /// word gets a uniform X/Y/Z letter per lane, a two-qubit one a
+    /// uniform non-identity pair per lane (four words, all-identity lanes
+    /// redrawn), an idle one a ladder-conditional letter per lane in
+    /// ascending shot order.
+    #[inline(always)]
+    fn site_run(&mut self, run: SiteRun, mut sink: impl FnMut(usize, usize, u64, u64)) {
+        let args = &self.args[run.start as usize..(run.start + run.len) as usize];
+        let (sampler, rng, hits) = (
+            &mut self.samplers[run.class as usize],
+            &mut self.rng,
+            &mut self.hits,
+        );
+        let (shots, len, idle) = (self.shots, run.len as usize, self.idle);
+        match run.kind {
+            SiteKind::Depol1 => sampler.hit_site_runs(shots, len, rng, hits, |s, hits, rng| {
+                let q = args[s][0] as usize;
+                for &(w, h) in hits {
+                    let (x, z) = uniform_nonzero_pair(h, rng);
+                    sink(q, w as usize, x, z);
+                }
+            }),
+            SiteKind::Depol2 => sampler.hit_site_runs(shots, len, rng, hits, |s, hits, rng| {
+                let [a, b] = args[s];
+                for &(w, h) in hits {
+                    let (xa, za, xb, zb) = uniform_nonzero_pair_2q(h, rng);
+                    sink(a as usize, w as usize, xa, za);
+                    sink(b as usize, w as usize, xb, zb);
+                }
+            }),
+            SiteKind::Idle => sampler.hit_site_runs(shots, len, rng, hits, |s, hits, rng| {
+                let q = args[s][0] as usize;
+                for &(w, h) in hits {
+                    let (mut x, mut z) = (0, 0);
+                    let mut bits = h;
+                    while bits != 0 {
+                        let lane = bits & bits.wrapping_neg();
+                        let letter = idle.conditional_letter(rng);
+                        x |= if letter.x_bit() { lane } else { 0 };
+                        z |= if letter.z_bit() { lane } else { 0 };
+                        bits &= bits - 1;
+                    }
+                    sink(q, w as usize, x, z);
+                }
+            }),
+        }
+    }
+}
+
+/// Word-parallel uniform draw over the three non-identity `(x, z)` letter
+/// pairs, restricted to the lanes of `h`: `(0, 0)` lanes are redrawn
+/// until none remain (each round keeps 3 of 4 candidates, so the loop
+/// terminates geometrically fast).
+#[inline(always)]
+fn uniform_nonzero_pair(h: u64, rng: &mut StdRng) -> (u64, u64) {
+    let mut x = rng.gen::<u64>() & h;
+    let mut z = rng.gen::<u64>() & h;
+    let mut bad = h & !(x | z);
+    while bad != 0 {
+        x |= bad & rng.gen::<u64>();
+        z |= bad & rng.gen::<u64>();
+        bad &= !(x | z);
+    }
+    (x, z)
+}
+
+/// The two-qubit form of [`uniform_nonzero_pair`]: a uniform draw over
+/// the fifteen non-identity `(xa, za, xb, zb)` letter pairs per lane of
+/// `h`.
+#[inline(always)]
+fn uniform_nonzero_pair_2q(h: u64, rng: &mut StdRng) -> (u64, u64, u64, u64) {
+    let mut xa = rng.gen::<u64>() & h;
+    let mut za = rng.gen::<u64>() & h;
+    let mut xb = rng.gen::<u64>() & h;
+    let mut zb = rng.gen::<u64>() & h;
+    let mut bad = h & !(xa | za | xb | zb);
+    while bad != 0 {
+        xa |= bad & rng.gen::<u64>();
+        za |= bad & rng.gen::<u64>();
+        xb |= bad & rng.gen::<u64>();
+        zb |= bad & rng.gen::<u64>();
+        bad &= !(xa | za | xb | zb);
+    }
+    (xa, za, xb, zb)
 }
 
 #[cfg(test)]
@@ -882,6 +1143,73 @@ mod tests {
                 );
             }
         }
+    }
+
+    #[test]
+    fn replayed_faults_equal_the_one_shot_run() {
+        // One tape per (template, shots, seed) replays into every program
+        // the template binds as the frames that program draws in place:
+        // random, all-even and all-odd genomes, at 1–4 lane words and
+        // 1–4 batches, under NISQ rates and under dense rates that hit
+        // every batch (bit-slice and geometric samplers both).
+        use eftq_circuit::ansatz::{blocked_all_to_all, fully_connected_hea, linear_hea};
+        use rand::SeedableRng;
+        let dense = StabilizerNoise {
+            depol_1q: 0.05,
+            depol_2q: 0.1,
+            depol_rz: 0.03,
+            depol_rot_xy: 0.08,
+            meas_flip: 0.0,
+            idle: TwirledIdle {
+                px: 0.02,
+                py: 0.01,
+                pz: 0.03,
+            },
+        };
+        let mut rng = StdRng::seed_from_u64(61);
+        for ansatz in [
+            linear_hea(4, 1),
+            fully_connected_hea(9, 2),
+            blocked_all_to_all(8, 1),
+        ] {
+            for noise in [nisq_like(), dense] {
+                let template = NoiseTemplate::compile(ansatz.circuit(), &noise);
+                let len = ansatz.num_params();
+                let random: Vec<u8> = (0..len).map(|_| rng.gen_range(0..4u8)).collect();
+                for shots in [1usize, 16, 64, 65, 256, 257, 1000] {
+                    let seed = SeedSequence::new(rng.gen());
+                    let tape = template.sample_faults(shots, seed);
+                    assert_eq!(tape.batches.len(), shots.div_ceil(BATCH_SHOTS));
+                    if noise == dense && shots >= 16 {
+                        assert!(tape.batches.iter().all(|b| !b.faults.is_empty()));
+                    }
+                    for genome in [&random, &vec![0u8; len], &vec![1u8; len]] {
+                        let program = template.bind_clifford(genome);
+                        assert_eq!(
+                            program.run_faults(&tape),
+                            program.run_threaded(shots, seed, 1),
+                            "{} qubits, {shots} shots, genome {genome:?}",
+                            ansatz.num_qubits()
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "another template")]
+    fn fault_tape_of_another_template_is_rejected() {
+        // Same circuit, same noise, but a separate compilation: its op
+        // positions are not the tape's to trust.
+        use eftq_circuit::ansatz::linear_hea;
+        let ansatz = linear_hea(4, 1);
+        let sampled = NoiseTemplate::compile(ansatz.circuit(), &nisq_like());
+        let other = NoiseTemplate::compile(ansatz.circuit(), &nisq_like());
+        let tape = sampled.sample_faults(16, SeedSequence::new(3));
+        let _ = other
+            .bind_clifford(&vec![1u8; ansatz.num_params()])
+            .run_faults(&tape);
     }
 
     #[test]

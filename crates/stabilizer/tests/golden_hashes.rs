@@ -2,9 +2,11 @@
 //! fixed 37-qubit Clifford circuit, its expectations and its noisy
 //! frames at 16, 128 and 700 shots (lane widths 1, 2, and 4 then 3)
 //! hash to recorded constants, as do the frames of a hand-built circuit
-//! whose CX runs are broken by every other kernel and by site runs. Any
-//! change to a word kernel, a frame kernel, the site layout or the
-//! sampling RNG stream moves a hash and fails here.
+//! whose CX runs are broken by every other kernel and by site runs. The
+//! frames replayed from a fault tape hash to the same constants as the
+//! frames drawn in place. Any change to a word kernel, a frame kernel,
+//! the site layout or the sampling RNG stream moves a hash and fails
+//! here.
 //!
 //! If a deliberate engine change moves the stream (it must be called
 //! out against the recorded sweep baselines!), regenerate the constants
@@ -90,27 +92,39 @@ fn frame_hash(frames: &PauliFrames, h: &mut u64) {
     }
 }
 
-fn test_frames_hash(shots: usize) -> u64 {
+/// The hashes of the test circuit's frames drawn in place and replayed
+/// from a fault tape of the same shots and seed.
+fn test_frames_hashes(shots: usize) -> [u64; 2] {
     let n = 37;
     let c = test_circuit(n);
+    let seed = SeedSequence::new(42);
     let p = NoiseProgram::compile(&c, &nisq_like());
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    frame_hash(&p.run(shots, SeedSequence::new(42)), &mut h);
-    h
+    let template = NoiseTemplate::compile(&c, &nisq_like());
+    let replayed = template
+        .bind_clifford(&[])
+        .run_faults(&template.sample_faults(shots, seed));
+    [p.run(shots, seed), replayed].map(|frames| {
+        let mut h = 0xcbf2_9ce4_8422_2325u64;
+        frame_hash(&frames, &mut h);
+        h
+    })
 }
 
 #[test]
 fn frame_engine_hash_is_pinned() {
-    let h = test_frames_hash(700);
-    assert_eq!(h, GOLDEN_FRAMES, "frame hash {h:#018x}");
+    for h in test_frames_hashes(700) {
+        assert_eq!(h, GOLDEN_FRAMES, "frame hash {h:#018x}");
+    }
 }
 
 #[test]
 fn frame_engine_hash_is_pinned_at_one_and_two_lane_words() {
-    let h16 = test_frames_hash(16);
-    assert_eq!(h16, GOLDEN_FRAMES_16, "16-shot frame hash {h16:#018x}");
-    let h128 = test_frames_hash(128);
-    assert_eq!(h128, GOLDEN_FRAMES_128, "128-shot frame hash {h128:#018x}");
+    for h16 in test_frames_hashes(16) {
+        assert_eq!(h16, GOLDEN_FRAMES_16, "16-shot frame hash {h16:#018x}");
+    }
+    for h128 in test_frames_hashes(128) {
+        assert_eq!(h128, GOLDEN_FRAMES_128, "128-shot frame hash {h128:#018x}");
+    }
 }
 
 /// An 8-qubit circuit whose CX kernels are interrupted by every other
@@ -152,17 +166,20 @@ fn cx_run_circuit_hash_is_pinned() {
     rotations_only.depol_rz = 0.2;
     rotations_only.depol_rot_xy = 0.15;
     let c = cx_run_circuit();
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    // Drawn in place, and replayed from one fault tape per noise model.
+    let (mut h, mut replayed) = (0xcbf2_9ce4_8422_2325u64, 0xcbf2_9ce4_8422_2325u64);
     for (i, noise) in [dense, rotations_only].iter().enumerate() {
         let template = NoiseTemplate::compile(&c, noise);
+        let seed = SeedSequence::new(5 + i as u64);
+        let tape = template.sample_faults(300, seed);
         for genome in [[1u8, 3], [2, 1]] {
-            let frames = template
-                .bind_clifford(&genome)
-                .run(300, SeedSequence::new(5 + i as u64));
-            frame_hash(&frames, &mut h);
+            let program = template.bind_clifford(&genome);
+            frame_hash(&program.run(300, seed), &mut h);
+            frame_hash(&program.run_faults(&tape), &mut replayed);
         }
     }
     assert_eq!(h, GOLDEN_CX_RUNS, "cx-run circuit hash {h:#018x}");
+    assert_eq!(replayed, GOLDEN_CX_RUNS, "replayed hash {replayed:#018x}");
 }
 
 /// Hash of the tableau expectations in `tableau_walk_hash_is_pinned`.

@@ -272,13 +272,11 @@ fn energy_estimate_matches_program_estimator_bit_for_bit() {
                 seed,
                 1,
             );
-            let got = evaluator.bind_clifford(&genome).estimate_energy(
-                &program,
-                noise.meas_flip,
-                37,
-                seed,
-                1,
-            );
+            let tape = template.sample_faults(37, seed.derive("pauli-frames"));
+            let got =
+                evaluator
+                    .bind_clifford(&genome)
+                    .estimate_energy(&program, &tape, noise.meas_flip);
             assert_eq!(got, want, "genome {g}");
         }
     }

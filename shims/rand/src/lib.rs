@@ -161,6 +161,11 @@ pub trait Rng: RngCore {
 
     /// Returns `true` with probability `p`.
     ///
+    /// Draws one word and answers whether the `f64` sample `gen` would
+    /// return from it is below `p`, but compares integers: the sample is
+    /// `u·2⁻⁵³` with `u = next_u64() >> 11`, so `u·2⁻⁵³ < p` exactly when
+    /// `u < ⌈p·2⁵³⌉` (both products are exact in `f64`).
+    ///
     /// # Panics
     ///
     /// Panics if `p` is not in `[0, 1]`.
@@ -169,11 +174,20 @@ pub trait Rng: RngCore {
             (0.0..=1.0).contains(&p),
             "gen_bool probability out of range: {p}"
         );
-        f64::sample_standard(self) < p
+        self.next_u64() >> 11 < bool_threshold(p)
     }
 }
 
 impl<R: RngCore + ?Sized> Rng for R {}
+
+/// `⌈p·2⁵³⌉` for `p ∈ [0, 1]`: the number of 53-bit samples `u` with
+/// `u·2⁻⁵³ < p`.
+#[inline]
+fn bool_threshold(p: f64) -> u64 {
+    let scaled = p * (1u64 << 53) as f64;
+    let floor = scaled as u64;
+    floor + u64::from((floor as f64) < scaled)
+}
 
 /// RNGs constructible from a seed, mirroring `rand::SeedableRng`.
 pub trait SeedableRng: Sized {
@@ -278,6 +292,38 @@ mod tests {
         let hits = (0..20_000).filter(|_| rng.gen_bool(0.25)).count();
         let frac = hits as f64 / 20_000.0;
         assert!((frac - 0.25).abs() < 0.02, "{frac}");
+    }
+
+    #[test]
+    fn gen_bool_threshold_agrees_with_the_float_compare() {
+        // The integer threshold must answer exactly what `gen::<f64>() < p`
+        // answers: on random draws, and on the two samples either side of
+        // the threshold `t`, for probabilities at and near the ends.
+        let float = |u: u64, p: f64| (u as f64) * (1.0 / (1u64 << 53) as f64) < p;
+        let tiny = 2f64.powi(-60);
+        let ulp = 2f64.powi(-53);
+        let mut rng = StdRng::seed_from_u64(17);
+        for p in [0.0, tiny, ulp, 0.05, 0.3, 0.5, 1.0 - ulp, 1.0] {
+            let t = super::bool_threshold(p);
+            assert!(t <= 1 << 53, "{p}");
+            for u in [t.wrapping_sub(1), t] {
+                if u < 1 << 53 {
+                    assert_eq!(u < t, float(u, p), "p {p}, u {u}");
+                }
+            }
+            for _ in 0..10_000 {
+                let u = rng.gen::<u64>() >> 11;
+                assert_eq!(u < t, float(u, p), "p {p}, u {u}");
+            }
+            let (mut a, mut b) = (StdRng::seed_from_u64(5), StdRng::seed_from_u64(5));
+            for _ in 0..1_000 {
+                assert_eq!(a.gen_bool(p), b.gen::<f64>() < p, "p {p}");
+            }
+        }
+        assert_eq!(super::bool_threshold(0.0), 0);
+        assert_eq!(super::bool_threshold(tiny), 1);
+        assert_eq!(super::bool_threshold(ulp), 1);
+        assert_eq!(super::bool_threshold(1.0), 1 << 53);
     }
 
     #[test]

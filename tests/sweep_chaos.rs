@@ -7,6 +7,10 @@
 //! farm with a SIGKILLed worker. A later `--resume` without the fault
 //! plan retries exactly the quarantined points and restores the
 //! checked-in baseline byte-for-byte.
+//!
+//! The farm legs listen on fixed ports 27340 and 27341, below Linux's
+//! ephemeral range (32768–60999), so that no client socket of an earlier
+//! test, lingering in TIME_WAIT, can hold them as its source port.
 
 use eft_vqa_repro::prelude::*;
 use eft_vqa_repro::sweep::jsonl::parse_row;
@@ -244,7 +248,7 @@ fn a_disconnect_fault_reconnects_with_backoff_and_converges() {
     )
     .unwrap();
     let path = fresh("toy-disc.jsonl");
-    let addr = "127.0.0.1:47340";
+    let addr = "127.0.0.1:27340";
     std::thread::scope(|scope| {
         let coordinator = scope.spawn(|| {
             run_sweep(
@@ -434,7 +438,7 @@ fn fig12_poisoned_sweep_converges_across_topologies_and_resume_restores_the_base
     // mid-lease. Workers report caught faults as `Failed` instead of
     // dying; the coordinator quarantines and the bytes still converge.
     let farm_path = fresh("fig12-poisoned-farm.jsonl");
-    let addr = "127.0.0.1:47341";
+    let addr = "127.0.0.1:27341";
     std::thread::scope(|scope| {
         let coordinator = scope.spawn(|| {
             run_sweep(

@@ -9,6 +9,12 @@
 //! `helper_*_child` tests below are launched as real child processes
 //! (`current_exe()` + `--exact`) so the kill is a genuine signal 9
 //! against a live socket, not a simulated disconnect.
+//!
+//! Coordinators listen on fixed ports 27310–27334, below Linux's
+//! ephemeral range (32768–60999). Inside that range, the client socket
+//! of an earlier test can hold a coordinator's port as its source port,
+//! for the minute it lingers in TIME_WAIT after closing, and the
+//! coordinator's bind then fails with "address in use".
 
 use eft_vqa_repro::prelude::*;
 use eft_vqa_repro::sweep::farm::{Completion, FarmState};
@@ -101,7 +107,7 @@ fn farm_with_local_workers_is_byte_identical_to_the_baseline() {
     for (i, workers) in [1usize, 2, 4].into_iter().enumerate() {
         let path = tmp(&format!("farm-local-{workers}.jsonl"));
         let _ = std::fs::remove_file(&path);
-        let addr = format!("127.0.0.1:{}", 47310 + i);
+        let addr = format!("127.0.0.1:{}", 27310 + i);
         let report = run_sweep(&spec, &farm_opts(&addr, workers, &path), |p, _| {
             driver.eval(p)
         })
@@ -126,7 +132,7 @@ fn farm_with_tcp_workers_is_byte_identical_to_the_baseline() {
     for (i, workers) in [1usize, 2, 4].into_iter().enumerate() {
         let path = tmp(&format!("farm-tcp-{workers}.jsonl"));
         let _ = std::fs::remove_file(&path);
-        let addr = format!("127.0.0.1:{}", 47320 + i);
+        let addr = format!("127.0.0.1:{}", 27320 + i);
         std::thread::scope(|scope| {
             let coordinator = scope
                 .spawn(|| run_sweep(&spec, &farm_opts(&addr, 0, &path), |p, _| driver.eval(p)));
@@ -230,7 +236,7 @@ fn sigkilled_worker_mid_lease_is_re_leased_and_the_artifact_converges() {
     // the coordinator re-leases its points and finishes byte-identical.
     let path = tmp("farm-sigkill-worker.jsonl");
     let _ = std::fs::remove_file(&path);
-    let addr = "127.0.0.1:47330";
+    let addr = "127.0.0.1:27330";
     let driver = Fig12Driver::new(false);
     let spec = Fig12Driver::spec(false);
     std::thread::scope(|scope| {
@@ -280,7 +286,7 @@ fn sigkilled_coordinator_resumes_without_recomputing_streamed_rows() {
     // whose rows never hit the disk.
     let path = tmp("farm-sigkill-coordinator.jsonl");
     let _ = std::fs::remove_file(&path);
-    let addr = "127.0.0.1:47331";
+    let addr = "127.0.0.1:27331";
     let mut child = spawn_helper(
         "helper_farm_coordinator_child",
         &[
@@ -372,7 +378,7 @@ fn hostile_wire_traffic_cannot_corrupt_the_artifact() {
     // abandons mid-flight. The artifact must not move by one byte.
     let path = tmp("farm-chaos.jsonl");
     let _ = std::fs::remove_file(&path);
-    let addr = "127.0.0.1:47332";
+    let addr = "127.0.0.1:27332";
     let driver = Fig12Driver::new(false);
     let spec = Fig12Driver::spec(false);
     let opts = SweepOptions {
@@ -711,7 +717,7 @@ fn worker_mode_rejects_a_mismatched_sweep() {
     // handshake, before it can compute a single point.
     let path = tmp("farm-mismatch.jsonl");
     let _ = std::fs::remove_file(&path);
-    let addr = "127.0.0.1:47333";
+    let addr = "127.0.0.1:27333";
     let driver = Fig12Driver::new(false);
     let spec = Fig12Driver::spec(false);
     let (release, gate) = channel::<()>();
@@ -752,7 +758,7 @@ fn farm_resumes_a_partial_artifact_without_recomputing() {
     let evals = Mutex::new(Vec::new());
     let report = run_sweep(
         &Fig12Driver::spec(false),
-        &farm_opts("127.0.0.1:47334", 2, &path),
+        &farm_opts("127.0.0.1:27334", 2, &path),
         |p, _| {
             evals.lock().unwrap().push(p.id);
             driver.eval(p)
