@@ -10,7 +10,7 @@ use eft_vqa::ExecutionRegime;
 use eftq_circuit::ansatz::fully_connected_hea;
 use eftq_numerics::SeedSequence;
 use eftq_stabilizer::{
-    GroupedObservable, HeisenbergEvaluator, NoiseProgram, NoiseTemplate, Tableau,
+    BoundEvaluator, GroupedObservable, HeisenbergEvaluator, NoiseProgram, NoiseTemplate, Tableau,
 };
 
 fn bench_energy_evaluations(c: &mut Criterion) {
@@ -99,13 +99,17 @@ fn bench_grouped_expectations(c: &mut Criterion) {
     group.finish();
 }
 
-/// One whole Figure-12 GA fitness evaluation at 100 qubits (Ising,
-/// NISQ, 16 shots) and its phases other than the noiseless values
-/// (`grouped_e0/heisenberg_ising_100q`): the noise-program bind and the
-/// fault replay. The frame accumulation is the remainder. The
-/// evaluator's compile (ansatz and Hamiltonian) and the fault sampling
-/// run once per search and are listed for scale; `frames_16shots` is the
-/// one-shot frame run, which draws its faults in place.
+/// The Figure-12 GA fitness at 100 qubits (Ising, NISQ, 16 shots) and
+/// its phases other than the noiseless values
+/// (`grouped_e0/heisenberg_ising_100q`). `fitness_nisq` scores one
+/// packed group of four genomes per call, as the search does: one
+/// `bind_lanes` of the four, their four evaluator binds and term
+/// values, one fault replay through the shared walk and one
+/// accumulation, so a quarter of its time is the cost per genome.
+/// `template_bind` is the one-genome bind. The evaluator's compile
+/// (ansatz and Hamiltonian) and the fault sampling run once per search
+/// and are listed for scale; `frames_16shots` is the one-shot frame run,
+/// which draws its faults in place.
 fn bench_fitness_phases(c: &mut Criterion) {
     let mut group = c.benchmark_group("fitness_100q");
     group.sample_size(20);
@@ -131,13 +135,19 @@ fn bench_fitness_phases(c: &mut Criterion) {
         b.iter(|| template.sample_faults(16, seed));
     });
     let tape = template.sample_faults(16, seed);
+    let genomes: Vec<Vec<u8>> = (0..4)
+        .map(|g| {
+            (0..ansatz.num_params())
+                .map(|i| ((i + g) % 4) as u8)
+                .collect()
+        })
+        .collect();
     group.bench_function("fitness_nisq", |b| {
         b.iter(|| {
-            let program = template.bind_clifford(&ks);
-            evaluator
-                .bind_clifford(&ks)
-                .estimate_energy(&program, &tape, template.meas_flip())
-                .energy
+            let ks: Vec<&[u8]> = genomes.iter().map(Vec::as_slice).collect();
+            let program = template.bind_lanes(&ks, 16);
+            let bound: Vec<_> = ks.iter().map(|g| evaluator.bind_clifford(g)).collect();
+            BoundEvaluator::estimate_energy(&bound, &program, &tape, template.meas_flip())
         });
     });
     group.finish();

@@ -10,10 +10,11 @@
 
 use eftq_circuit::Ansatz;
 use eftq_numerics::SeedSequence;
-use eftq_optim::genetic::{minimize_genetic, GeneticConfig};
+use eftq_optim::genetic::{minimize_genetic_batched, GeneticConfig};
 use eftq_pauli::PauliSum;
 use eftq_stabilizer::{
-    estimate_energy, estimate_energy_threaded, HeisenbergEvaluator, NoiseTemplate, StabilizerNoise,
+    estimate_energy, estimate_energy_threaded, BoundEvaluator, HeisenbergEvaluator, NoiseTemplate,
+    StabilizerNoise,
 };
 
 /// Configuration of a Clifford VQE run.
@@ -60,8 +61,10 @@ pub struct CliffordVqeOutcome {
 /// ansatz structure (layering, injection sites, probability classes,
 /// the fixed entangler) and the observable's terms. Every genome is also
 /// scored under the same shot seed, so the search samples its faults
-/// once ([`NoiseTemplate::sample_faults`]) and the per-genome fitness
-/// only re-resolves its quarter turns and replays them — see
+/// once ([`NoiseTemplate::sample_faults`]), and the fitness only
+/// re-resolves quarter turns and replays them: `⌊64/shots⌋` genomes of a
+/// generation (at least one) side by side in one lane word
+/// ([`NoiseTemplate::bind_lanes`]), through one walk. See
 /// [`clifford_vqe_with_template`] to share the template across several
 /// searches (e.g. a sweep's grid points).
 ///
@@ -118,15 +121,25 @@ pub fn clifford_vqe_with_template(
     // `estimate_energy_program`. Every genome is scored under the same
     // shot seed, and the faults it draws do not depend on the genome, so
     // they are sampled once here (the stream `estimate_energy_program`
-    // draws for `shot_seed`) and replayed per genome.
+    // draws for `shot_seed`) and replayed per group of genomes: each
+    // generation's fresh genomes pack `⌊64/shots⌋` to a lane word (a
+    // group of one above 32 shots, on as many words as the shots need),
+    // and every genome's energy keeps its bits.
     let evaluator = HeisenbergEvaluator::compile(ansatz.circuit(), observable);
     let tape = template.sample_faults(shots, shot_seed.derive("pauli-frames"));
-    let result = minimize_genetic(ansatz.num_params(), &ga, |genome| {
-        let program = template.bind_clifford(genome);
-        evaluator
-            .bind_clifford(genome)
-            .estimate_energy(&program, &tape, template.meas_flip())
-            .energy
+    let per_word = (64 / shots).max(1);
+    let result = minimize_genetic_batched(ansatz.num_params(), &ga, |genomes, scores| {
+        for (group, scores) in genomes.chunks(per_word).zip(scores.chunks_mut(per_word)) {
+            let ks: Vec<&[u8]> = group.iter().map(Vec::as_slice).collect();
+            let program = template.bind_lanes(&ks, shots);
+            let bound: Vec<BoundEvaluator> =
+                ks.iter().map(|g| evaluator.bind_clifford(g)).collect();
+            let runs =
+                BoundEvaluator::estimate_energy(&bound, &program, &tape, template.meas_flip());
+            for (score, run) in scores.iter_mut().zip(runs) {
+                *score = run.energy;
+            }
+        }
     });
     CliffordVqeOutcome {
         best_energy: result.best_fitness,
@@ -294,20 +307,12 @@ mod tests {
 
     /// The search with the Heisenberg-picture fitness reproduces the
     /// search with the tableau fitness — energy, genome and history —
-    /// under noisy and noiseless templates, on one and two words.
+    /// under noisy and noiseless templates, on one and two qubit words,
+    /// at 10, 4 and 1 genomes per lane word and on a two-word tape.
     #[test]
     fn heisenberg_fitness_reproduces_tableau_fitness() {
+        use eftq_optim::genetic::minimize_genetic;
         use eftq_stabilizer::estimate_energy_program;
-        let config = CliffordVqeConfig {
-            ga: GeneticConfig {
-                population: 8,
-                generations: 4,
-                threads: 2,
-                ..GeneticConfig::default()
-            },
-            shots: 16,
-            seed: 41,
-        };
         for (n, h) in [
             (8, hamiltonians::heisenberg_1d(8, 0.5)),
             (66, hamiltonians::ising_1d(66, 0.75)),
@@ -318,28 +323,43 @@ mod tests {
                 StabilizerNoise::noiseless(),
             ] {
                 let template = NoiseTemplate::compile(ansatz.circuit(), &noise);
-                let seeds = SeedSequence::new(config.seed);
-                let shot_seed = seeds.derive("shots");
-                let ga = GeneticConfig {
-                    seed: seeds.derive("ga").seed(),
-                    ..config.ga
-                };
-                let old = minimize_genetic(ansatz.num_params(), &ga, |g| {
-                    estimate_energy_program(
-                        &ansatz.bind_clifford(g),
-                        &h,
-                        &template.bind_clifford(g),
-                        template.meas_flip(),
-                        config.shots,
-                        shot_seed,
-                        1,
-                    )
-                    .energy
-                });
-                let new = clifford_vqe_with_template(&ansatz, &h, &template, &config);
-                assert_eq!(new.best_energy, old.best_fitness, "{n} qubits");
-                assert_eq!(new.best_genome, old.best_genome, "{n} qubits");
-                assert_eq!(new.history, old.history, "{n} qubits");
+                for shots in [6, 16, 40, 100] {
+                    let config = CliffordVqeConfig {
+                        // Two workers of 12 genomes each: groups of 10
+                        // and 2 at 6 shots.
+                        ga: GeneticConfig {
+                            population: 24,
+                            generations: 4,
+                            threads: 2,
+                            ..GeneticConfig::default()
+                        },
+                        shots,
+                        seed: 41,
+                    };
+                    let seeds = SeedSequence::new(config.seed);
+                    let shot_seed = seeds.derive("shots");
+                    let ga = GeneticConfig {
+                        seed: seeds.derive("ga").seed(),
+                        ..config.ga
+                    };
+                    let old = minimize_genetic(ansatz.num_params(), &ga, |g| {
+                        estimate_energy_program(
+                            &ansatz.bind_clifford(g),
+                            &h,
+                            &template.bind_clifford(g),
+                            template.meas_flip(),
+                            shots,
+                            shot_seed,
+                            1,
+                        )
+                        .energy
+                    });
+                    let new = clifford_vqe_with_template(&ansatz, &h, &template, &config);
+                    let at = format!("{n} qubits, {shots} shots");
+                    assert_eq!(new.best_energy, old.best_fitness, "{at}");
+                    assert_eq!(new.best_genome, old.best_genome, "{at}");
+                    assert_eq!(new.history, old.history, "{at}");
+                }
             }
         }
     }

@@ -68,30 +68,62 @@ pub struct GeneticResult {
     pub cache_hits: usize,
 }
 
-/// Minimizes `fitness` over genomes of length `genome_len`.
-///
-/// `fitness` must be `Sync` so generations can be evaluated on
-/// `config.threads` crossbeam scoped threads; with `threads == 1` the
-/// evaluation is sequential.
-///
-/// Fitness values are memoized by genome: elites carried between
-/// generations and duplicate offspring are never re-evaluated, so
-/// `fitness` must be a pure function of its genome (the Clifford VQE
-/// satisfies this — every candidate is estimated with the same shot
-/// seed). NaN fitness values are tolerated: they sort after every finite
-/// value (`f64::total_cmp`) and can never win a tournament or the run.
+/// Minimizes `fitness` over genomes of length `genome_len`, one genome
+/// per call: [`minimize_genetic_batched`] with a fitness that scores a
+/// slice genome by genome. Every result is the same as the batched
+/// form's.
 ///
 /// # Panics
 ///
-/// Panics if `genome_len == 0`, `population < 2`, `elites >= population`,
-/// `tournament == 0`, `allele_count == 0`, or `mutation_rate` is not in
-/// `[0, 1]` (NaN included), before any fitness evaluation.
+/// As [`minimize_genetic_batched`].
 pub fn minimize_genetic<F>(genome_len: usize, config: &GeneticConfig, fitness: F) -> GeneticResult
 where
     F: Fn(&[u8]) -> f64 + Sync,
 {
+    minimize_genetic_batched(genome_len, config, |genomes, scores| {
+        for (s, g) in scores.iter_mut().zip(genomes) {
+            *s = fitness(g);
+        }
+    })
+}
+
+/// Minimizes a fitness over genomes of length `genome_len`, scoring a
+/// generation's fresh genomes a slice at a time: `fitness(genomes,
+/// scores)` writes the fitness of `genomes[i]` into `scores[i]`.
+///
+/// With `config.threads == 1` each generation's fresh genomes arrive in
+/// one call (a generation with none makes no call); otherwise they are
+/// split into one contiguous chunk per crossbeam scoped thread, in order,
+/// so `fitness` must be `Sync`. A fitness that costs less per genome in a
+/// batch (the Clifford VQE packs several genomes into one frame word)
+/// sees the whole batch.
+///
+/// Fitness values are memoized by genome: elites carried between
+/// generations and duplicate offspring are never re-evaluated, so each
+/// score must be a pure function of its genome, whatever else shares its
+/// slice (the Clifford VQE satisfies this: every candidate is estimated
+/// with the same shot seed, and its score does not depend on its slice
+/// neighbours). NaN fitness values are tolerated: they sort after every
+/// finite value (`f64::total_cmp`) and can never win a tournament or the
+/// run.
+///
+/// # Panics
+///
+/// Panics if `genome_len == 0`, `population < 2`, `generations == 0`,
+/// `elites >= population`, `tournament == 0`, `allele_count == 0`, or
+/// `mutation_rate` is not in `[0, 1]` (NaN included), before any fitness
+/// evaluation.
+pub fn minimize_genetic_batched<F>(
+    genome_len: usize,
+    config: &GeneticConfig,
+    fitness: F,
+) -> GeneticResult
+where
+    F: Fn(&[Vec<u8>], &mut [f64]) + Sync,
+{
     assert!(genome_len > 0, "genome must be non-empty");
     assert!(config.population >= 2, "population must be at least 2");
+    assert!(config.generations >= 1, "at least one generation required");
     assert!(
         config.elites < config.population,
         "elites must leave room for offspring"
@@ -182,25 +214,25 @@ where
 
 fn evaluate<F>(population: &[Vec<u8>], fitness: &F, threads: usize) -> Vec<f64>
 where
-    F: Fn(&[u8]) -> f64 + Sync,
+    F: Fn(&[Vec<u8>], &mut [f64]) + Sync,
 {
+    let mut scores = vec![0.0f64; population.len()];
+    if population.is_empty() {
+        return scores;
+    }
     // Memoization leaves late generations with only a handful of fresh
     // genomes, so parallelize any batch of two or more: with a heavy
     // fitness (the Clifford VQE estimator) even a half-filled worker set
     // beats running the stragglers sequentially.
     if threads <= 1 || population.len() < 2 {
-        return population.iter().map(|g| fitness(g)).collect();
+        fitness(population, &mut scores);
+        return scores;
     }
     let workers = threads.min(population.len());
     let chunk = population.len().div_ceil(workers);
-    let mut scores = vec![0.0f64; population.len()];
     thread::scope(|scope| {
         for (slot, genomes) in scores.chunks_mut(chunk).zip(population.chunks(chunk)) {
-            scope.spawn(move |_| {
-                for (s, g) in slot.iter_mut().zip(genomes.iter()) {
-                    *s = fitness(g);
-                }
-            });
+            scope.spawn(move |_| fitness(genomes, slot));
         }
     })
     .expect("fitness worker panicked");
@@ -381,6 +413,74 @@ mod tests {
             },
             |_| 0.0,
         );
+    }
+
+    #[test]
+    #[should_panic(expected = "at least one generation")]
+    fn zero_generations_rejected_before_any_evaluation() {
+        // Zero generations used to return `population[0]`, never scored,
+        // with a best fitness of +∞.
+        let config = GeneticConfig {
+            generations: 0,
+            ..GeneticConfig::default()
+        };
+        let _ = minimize_genetic(4, &config, |_| panic!("fitness evaluated"));
+    }
+
+    #[test]
+    fn batched_fitness_matches_per_genome_fitness_at_every_thread_count() {
+        let target: Vec<u8> = (0..14).map(|i| ((i * 5) % 4) as u8).collect();
+        let per_genome = mismatch_fitness(&target);
+        let batched = |genomes: &[Vec<u8>], scores: &mut [f64]| {
+            assert_eq!(genomes.len(), scores.len());
+            for (s, g) in scores.iter_mut().zip(genomes) {
+                *s = per_genome(g);
+            }
+        };
+        for threads in [1, 3] {
+            let config = GeneticConfig {
+                population: 18,
+                generations: 25,
+                threads,
+                ..GeneticConfig::default()
+            };
+            let want = minimize_genetic(14, &config, mismatch_fitness(&target));
+            assert_eq!(
+                minimize_genetic_batched(14, &config, batched),
+                want,
+                "threads {threads}"
+            );
+            if threads == 3 {
+                let solo = GeneticConfig {
+                    threads: 1,
+                    ..config
+                };
+                assert_eq!(minimize_genetic_batched(14, &solo, batched), want);
+            }
+        }
+    }
+
+    #[test]
+    fn one_thread_scores_each_generation_in_one_call() {
+        use std::sync::Mutex;
+        // Every gene mutates, so every generation has fresh offspring.
+        let config = GeneticConfig {
+            population: 12,
+            generations: 9,
+            mutation_rate: 1.0,
+            ..GeneticConfig::default()
+        };
+        let calls = Mutex::new(Vec::new());
+        let r = minimize_genetic_batched(10, &config, |genomes, scores| {
+            calls.lock().unwrap().push(genomes.len());
+            for (s, g) in scores.iter_mut().zip(genomes) {
+                *s = g.iter().map(|&x| f64::from(x)).sum();
+            }
+        });
+        let calls = calls.into_inner().unwrap();
+        assert_eq!(calls.len(), config.generations, "{calls:?}");
+        assert_eq!(calls[0], config.population);
+        assert_eq!(calls.iter().sum::<usize>(), r.evaluations);
     }
 
     #[test]

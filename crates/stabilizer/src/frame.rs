@@ -18,7 +18,9 @@
 //!
 //! Frames are filled by [`crate::NoiseProgram`], which walks its compiled
 //! gate kernels and XORs each injection site's hit words into the frame
-//! planes, drawn in place or replayed from a [`crate::FaultTape`].
+//! planes, drawn in place or replayed from a [`crate::FaultTape`]. A
+//! program of several genomes side by side in one word applies each
+//! symbolic rotation's kernel under a lane mask.
 //! [`PauliFrames::inject`] places one letter by hand.
 
 use crate::noise::StabilizerNoise;
@@ -145,6 +147,45 @@ impl PauliFrames {
     pub(crate) fn kernel_sqrt_x(&mut self, q: usize) {
         let b = q * self.words;
         words::xor_into(&mut self.fx[b..b + self.words], &self.fz[b..b + self.words]);
+    }
+
+    /// [`PauliFrames::kernel_hadamard`] in the lanes of `mask` only, in
+    /// every lane word: the symbolic `Ry` of the genomes packed into
+    /// those lanes. An all-ones mask swaps the planes outright.
+    #[inline]
+    pub(crate) fn kernel_hadamard_masked(&mut self, q: usize, mask: u64) {
+        let b = q * self.words;
+        let (fx, fz) = (
+            &mut self.fx[b..b + self.words],
+            &mut self.fz[b..b + self.words],
+        );
+        for (x, z) in fx.iter_mut().zip(fz) {
+            let t = (*x ^ *z) & mask;
+            *x ^= t;
+            *z ^= t;
+        }
+    }
+
+    /// [`PauliFrames::kernel_phase`] in the lanes of `mask` only (a
+    /// packed symbolic `Rz`).
+    #[inline]
+    pub(crate) fn kernel_phase_masked(&mut self, q: usize, mask: u64) {
+        let b = q * self.words;
+        let (fx, fz) = (&self.fx[b..b + self.words], &mut self.fz[b..b + self.words]);
+        for (z, &x) in fz.iter_mut().zip(fx) {
+            *z ^= x & mask;
+        }
+    }
+
+    /// [`PauliFrames::kernel_sqrt_x`] in the lanes of `mask` only (a
+    /// packed symbolic `Rx`).
+    #[inline]
+    pub(crate) fn kernel_sqrt_x_masked(&mut self, q: usize, mask: u64) {
+        let b = q * self.words;
+        let (fx, fz) = (&mut self.fx[b..b + self.words], &self.fz[b..b + self.words]);
+        for (x, &z) in fx.iter_mut().zip(fz) {
+            *x ^= z & mask;
+        }
     }
 
     /// CX-conjugation kernel over a run of `[control, target]` pairs,

@@ -47,7 +47,8 @@
 //! (`Rz(kπ/2) = S^k`, `Rx = H·S^k·H`, `Ry` = S†, H, S^k, H, S), and
 //! each value is exactly ±1 or 0, so the results are **bit-identical**
 //! to [`Tableau::expectation`] on [`eftq_circuit::Ansatz::bind_clifford`]'s
-//! circuit — and [`BoundEvaluator::estimate_energy`] to
+//! circuit — and each estimate of [`BoundEvaluator::estimate_energy`],
+//! alone or packed with other genomes into one lane word, to
 //! [`crate::estimate_energy_program`] on it.
 //!
 //! [`Tableau::apply_gate`]: crate::Tableau::apply_gate
@@ -706,33 +707,49 @@ impl BoundEvaluator<'_> {
         }
     }
 
-    /// Noisy energy estimate of the compiled Hamiltonian on the bound
-    /// state: these noiseless expectations fed through the Pauli frames
-    /// of `program` replaying `tape` ([`NoiseProgram::run_faults`]). A
-    /// program without injection sites runs no walk. With `tape` sampled
-    /// by the template that bound `program`, under
-    /// `seed.derive("pauli-frames")`, this is bit-identical to
-    /// [`crate::estimate_energy_program`] on the bound circuit with the
-    /// same Hamiltonian, `meas_flip`, shot count and `seed`.
+    /// Noisy energy estimates of the compiled Hamiltonian on the bound
+    /// states of `genomes`, one per genome, scored from one frame set:
+    /// these noiseless expectations fed through the Pauli frames of
+    /// `program` replaying `tape` once ([`NoiseProgram::run_faults`]).
+    /// `program` binds the same genomes in the same order: side by side
+    /// by [`crate::NoiseTemplate::bind_lanes`] at the tape's shot count,
+    /// or one genome by [`crate::NoiseTemplate::bind_clifford`]. A program
+    /// without injection sites runs no walk. With `tape` sampled by the
+    /// template that bound `program`, under `seed.derive("pauli-frames")`,
+    /// each estimate is bit-identical to [`crate::estimate_energy_program`]
+    /// on its genome's bound circuit with the same Hamiltonian,
+    /// `meas_flip`, shot count and `seed`.
     ///
     /// # Panics
     ///
-    /// Panics if the program size mismatches, or if `program` has sites
-    /// and was bound from a template other than the tape's.
+    /// Panics if `genomes` is empty or binds more than one evaluator, if
+    /// the program size or genome count mismatches, or if `program` has
+    /// sites and was bound from a template other than the tape's or for
+    /// another shot count.
     pub fn estimate_energy(
-        &self,
+        genomes: &[BoundEvaluator<'_>],
         program: &NoiseProgram,
         tape: &FaultTape,
         meas_flip: f64,
-    ) -> NoisyCliffordRun {
-        let ev = self.evaluator;
+    ) -> Vec<NoisyCliffordRun> {
+        let ev = genomes
+            .first()
+            .expect("at least one genome required")
+            .evaluator;
+        assert!(
+            genomes.iter().all(|b| std::ptr::eq(b.evaluator, ev)),
+            "genomes bound from different evaluators"
+        );
         assert_eq!(
             program.num_qubits(),
             ev.n,
             "evaluator/program size mismatch"
         );
-        let mut e0s = vec![0.0; ev.terms.len()];
-        self.expectations(&mut e0s);
+        let terms = ev.terms.len();
+        let mut e0s = vec![0.0; genomes.len() * terms];
+        for (g, bound) in genomes.iter().enumerate() {
+            bound.expectations(&mut e0s[g * terms..(g + 1) * terms]);
+        }
         accumulate_energy(
             &ev.hamiltonian,
             &e0s,

@@ -24,17 +24,23 @@
 //!    [`eftq_numerics::BernoulliWords`] and its error letters once, into a
 //!    [`FaultTape`]. Shot batches seed from their batch index, so results
 //!    do not depend on the thread count.
-//! 3. **Bind** once per genome. [`NoiseTemplate::bind_clifford`] resolves
-//!    the rotation parities into a [`NoiseProgram`] without copying the
-//!    op list, and [`HeisenbergEvaluator::bind_clifford`] yields a
+//! 3. **Bind** once per group of genomes. [`NoiseTemplate::bind_lanes`]
+//!    binds up to `⌊64/shots⌋` genomes side by side into one
+//!    [`NoiseProgram`] without copying the op list: each symbolic rotation
+//!    gets one `u64` lane mask, the lanes `g·shots .. (g+1)·shots` of
+//!    every genome `g` that turns it by an odd number of quarter turns
+//!    ([`NoiseTemplate::bind_clifford`] binds one genome, all lanes or
+//!    none). Per genome, [`HeisenbergEvaluator::bind_clifford`] yields a
 //!    [`BoundEvaluator`] in `O(n)`.
-//! 4. **Estimate.** [`BoundEvaluator::estimate_energy`] first takes each
-//!    term's noiseless value: its letters, mapped through the bound
-//!    rotations, select fixed-run rows whose product is read off the
-//!    prepared product state. Then [`NoiseProgram::run_faults`]
-//!    propagates [`PauliFrames`], 64 shots per `u64` lane, XORing the
-//!    tape's fault words in at their sites. The shot energies then
-//!    accumulate term by term.
+//! 4. **Estimate.** [`BoundEvaluator::estimate_energy`] scores a group's
+//!    genomes together. It first takes each term's noiseless value per
+//!    genome: the term's letters, mapped through the bound rotations,
+//!    select fixed-run rows whose product is read off the prepared
+//!    product state. Then one [`NoiseProgram::run_faults`] propagates
+//!    [`PauliFrames`], 64 shots per `u64` lane, applying each rotation in
+//!    its lanes and XORing each of the tape's fault words into every lane
+//!    group at its site. The shot energies then accumulate term by term,
+//!    with one flip plane per term for the whole group.
 //!
 //! [`estimate_energy`], [`estimate_energy_threaded`] and
 //! [`estimate_energy_program`] make one estimate of a bound circuit,
@@ -42,7 +48,8 @@
 //! is used once, so [`NoiseProgram::run_threaded`] draws the faults in
 //! place as its walk reaches each site instead of sampling a tape. They
 //! accumulate in the same floating-point order as
-//! [`BoundEvaluator::estimate_energy`], bit for bit.
+//! [`BoundEvaluator::estimate_energy`] does for each genome of a group,
+//! bit for bit.
 //!
 //! # Modules
 //!

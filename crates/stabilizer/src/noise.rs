@@ -206,7 +206,8 @@ pub fn estimate_energy(
 /// bits. Use this for large re-evaluation shot budgets. A genetic search
 /// scores every genome under one seed, so it samples that seed's faults
 /// once ([`crate::NoiseTemplate::sample_faults`]) and replays them per
-/// genome ([`crate::BoundEvaluator::estimate_energy`]).
+/// group of genomes packed into one lane word
+/// ([`crate::BoundEvaluator::estimate_energy`]).
 ///
 /// # Panics
 ///
@@ -279,16 +280,31 @@ pub fn estimate_energy_program(
     accumulate_energy(observable, &e0s, program, meas_flip, shots, || {
         program.run_threaded(shots, seed.derive("pauli-frames"), threads)
     })
+    .pop()
+    .expect("one estimate per genome")
 }
 
-/// The shot energies of every compiled estimator: each term's noiseless
-/// value `e0s[k]`, damped by readout, sign-flipped per shot where the
-/// shot's Pauli frame anticommutes with the term. `frames` runs
-/// `program` for `shots` shots; a program without injection sites skips
-/// it, since all its frames are the identity. Shared by
-/// [`estimate_energy_program`] and
-/// [`crate::BoundEvaluator::estimate_energy`], so both accumulate in the
-/// same floating-point order.
+/// The shot energies of every compiled estimator, for the `G ≥ 1`
+/// genomes side by side in `program` ([`crate::NoiseTemplate::bind_lanes`];
+/// `G = 1` for any other program). Genome `g`'s noiseless term values
+/// are `e0s[g·terms .. (g+1)·terms]`, and its shots are frame lanes
+/// `g·shots .. (g+1)·shots`: shot energies are indexed by frame lane.
+/// Per term and genome, each shot adds the term's readout-damped value
+/// `v` and then subtracts `2v` where its frame anticommutes with the
+/// term, so every shot sees the floating-point operations, in the same
+/// order, that a frame set of its genome alone gives it. Each term's flip
+/// plane is computed once for all `G` genomes.
+///
+/// `frames` runs `program` for `G · shots` lanes; a program without
+/// injection sites skips it, since all its frames are the identity. Shared
+/// by [`estimate_energy_program`] (`G = 1`) and
+/// [`crate::BoundEvaluator::estimate_energy`], so every estimate
+/// accumulates in the same order. Returns one run per genome.
+///
+/// # Panics
+///
+/// Panics if `shots == 0`, the sizes mismatch, or `e0s` or the frames do
+/// not cover every genome of `program`.
 pub(crate) fn accumulate_energy(
     observable: &PauliSum,
     e0s: &[f64],
@@ -296,14 +312,21 @@ pub(crate) fn accumulate_energy(
     meas_flip: f64,
     shots: usize,
     frames: impl FnOnce() -> crate::frame::PauliFrames,
-) -> NoisyCliffordRun {
+) -> Vec<NoisyCliffordRun> {
     assert!(shots > 0, "at least one shot required");
     assert_eq!(
         observable.num_qubits(),
         program.num_qubits(),
         "observable/program size mismatch"
     );
-    let damped = |term: &eftq_pauli::PauliTerm, e0: f64| {
+    let (terms, groups) = (observable.terms(), program.groups());
+    assert_eq!(
+        e0s.len(),
+        groups * terms.len(),
+        "one term value per term and genome"
+    );
+    let damped = |k: usize, g: usize| {
+        let (term, e0) = (&terms[k], e0s[g * terms.len() + k]);
         if e0 == 0.0 {
             return None;
         }
@@ -311,50 +334,68 @@ pub(crate) fn accumulate_energy(
         let v = term.coefficient * damp * e0;
         (v != 0.0).then_some(v)
     };
+    let mut energies = vec![0.0f64; groups * shots];
     if program.num_sites() == 0 {
-        // Noiseless fast path: every frame is identity, so all shots see
-        // the same deterministic energy (accumulated with the same
-        // floating-point order as the general path, so results agree
+        // Noiseless fast path: every frame is identity, so all shots of a
+        // genome see the same deterministic energy (accumulated with the
+        // same floating-point order as the general path, so results agree
         // bit-for-bit).
-        let mut e = 0.0f64;
-        for (term, &e0) in observable.terms().iter().zip(e0s) {
-            if let Some(v) = damped(term, e0) {
-                e += v;
+        for (g, group) in energies.chunks_mut(shots).enumerate() {
+            let mut e = 0.0f64;
+            for k in 0..terms.len() {
+                if let Some(v) = damped(k, g) {
+                    e += v;
+                }
+            }
+            group.fill(e);
+        }
+    } else {
+        let frames = frames();
+        assert_eq!(
+            frames.num_shots(),
+            groups * shots,
+            "frames for every genome's shots"
+        );
+        let mut plane = vec![0u64; (groups * shots).div_ceil(64)];
+        // A genome's lanes: the whole plane for one genome, a slice of its
+        // one word for several.
+        let lanes = if groups == 1 { !0 } else { (1u64 << shots) - 1 };
+        let mut vs = vec![None; groups];
+        for (k, term) in terms.iter().enumerate() {
+            for (g, v) in vs.iter_mut().enumerate() {
+                *v = damped(k, g);
+            }
+            if vs.iter().all(Option::is_none) {
+                continue;
+            }
+            frames.flip_plane_into(&term.string, &mut plane);
+            for (g, (v, group)) in vs.iter().zip(energies.chunks_mut(shots)).enumerate() {
+                let Some(v) = *v else {
+                    continue;
+                };
+                for e in group.iter_mut() {
+                    *e += v;
+                }
+                // Anticommuting frames see −v instead of +v.
+                let (mask, first) = (lanes << (g * shots), g * shots);
+                for (w, &word) in plane.iter().enumerate() {
+                    let mut bits = word & mask;
+                    while bits != 0 {
+                        group[w * 64 + bits.trailing_zeros() as usize - first] -= 2.0 * v;
+                        bits &= bits - 1;
+                    }
+                }
             }
         }
-        let energies = vec![e; shots];
-        return NoisyCliffordRun {
-            energy: eftq_numerics::stats::mean(&energies),
-            std_error: eftq_numerics::stats::standard_error(&energies),
+    }
+    energies
+        .chunks(shots)
+        .map(|e| NoisyCliffordRun {
+            energy: eftq_numerics::stats::mean(e),
+            std_error: eftq_numerics::stats::standard_error(e),
             shots,
-        };
-    }
-    let frames = frames();
-    let mut energies = vec![0.0f64; shots];
-    let mut plane = vec![0u64; shots.div_ceil(64)];
-    for (term, &e0) in observable.terms().iter().zip(e0s) {
-        let Some(v) = damped(term, e0) else {
-            continue;
-        };
-        for e in energies.iter_mut() {
-            *e += v;
-        }
-        // Anticommuting frames see −v instead of +v.
-        frames.flip_plane_into(&term.string, &mut plane);
-        for (w, &word) in plane.iter().enumerate() {
-            let mut bits = word;
-            while bits != 0 {
-                let s = w * 64 + bits.trailing_zeros() as usize;
-                energies[s] -= 2.0 * v;
-                bits &= bits - 1;
-            }
-        }
-    }
-    NoisyCliffordRun {
-        energy: eftq_numerics::stats::mean(&energies),
-        std_error: eftq_numerics::stats::standard_error(&energies),
-        shots,
-    }
+        })
+        .collect()
 }
 
 #[cfg(test)]

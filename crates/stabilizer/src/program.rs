@@ -51,11 +51,25 @@
 //!   a [`FaultTape`]; [`NoiseProgram::run_faults`] walks the kernels of
 //!   any program bound from that template and XORs the recorded words
 //!   where their site runs stand. A genetic search scores every genome
-//!   under one shot seed, so it samples once and replays per genome.
+//!   under one shot seed, so it samples once and replays per group of
+//!   genomes (below).
 //!
 //! Both give the same frames bit for bit: the tape holds exactly the
 //! words the in-place draw XORs, at the same op, and no kernel sits
 //! between the sites of one run.
+//!
+//! # Genomes side by side
+//!
+//! A search's genomes replay the same tape and differ only in which
+//! rotation kernels fire, so at `width ≤ 32` shots several of them share
+//! one lane word exactly, as Stim fills its SIMD lanes with shots.
+//! [`NoiseTemplate::bind_lanes`] binds up to `⌊64/width⌋` genomes into one
+//! program, genome `g` in lanes `g·width .. (g+1)·width`: each symbolic
+//! rotation carries a lane mask and applies its kernel in those lanes
+//! only, and [`NoiseProgram::run_faults`] copies every tape word into
+//! each lane group. One walk and one replay then serve the whole group,
+//! and each group's lanes hold the frames its genome's own program
+//! replays, bit for bit.
 //!
 //! # Batching and seeding
 //!
@@ -201,11 +215,13 @@ enum RotAxis {
 /// symbolic rotation whose kernel depends on the genome bound later.
 ///
 /// `Rot` stays in the instruction stream after binding — the bound
-/// program carries a per-parameter odd-parity bitmask and the batch walk
-/// tests one bit per rotation. That keeps [`NoiseTemplate::bind_clifford`]
-/// allocation-free on the op list (an `Arc` bump instead of a filtered
-/// copy), which matters in genome loops that bind thousands of programs
-/// per second.
+/// program carries one lane mask per parameter, the frame lanes whose
+/// genome turns it by an odd number of quarter turns, and the batch walk
+/// applies the rotation's kernel in those lanes (and skips it when none
+/// are set). That keeps [`NoiseTemplate::bind_clifford`] and
+/// [`NoiseTemplate::bind_lanes`] copy-free on the op list (an `Arc` bump
+/// instead of a filtered copy), which matters in genome loops that bind
+/// thousands of programs per second.
 #[derive(Clone, Copy, Debug, PartialEq)]
 enum TemplateOp {
     Fixed(Op),
@@ -290,9 +306,17 @@ pub struct NoiseProgram {
     ops: Arc<Vec<TemplateOp>>,
     /// Per-entry qubit arguments of the run ops (shared likewise).
     args: Arc<Vec<[u32; 2]>>,
-    /// Bit `p` set ⇔ genome entry `p` is an odd quarter turn; consulted
-    /// by the batch walk at each symbolic rotation.
-    odd: Vec<u64>,
+    /// Per genome parameter, the lanes of every frame word whose genome
+    /// turns it by an odd number of quarter turns: where the batch walk
+    /// applies its rotation's kernel. All lanes or none for one genome.
+    lanes: Vec<u64>,
+    /// Genomes side by side in each lane word: 1 unless several were
+    /// bound by [`NoiseTemplate::bind_lanes`].
+    groups: usize,
+    /// Shots per genome of a [`NoiseTemplate::bind_lanes`] program, the
+    /// only tape width it replays; `None` for [`NoiseTemplate::bind_clifford`],
+    /// which replays any.
+    width: Option<usize>,
     /// Distinct site probabilities; site-run ops index this table.
     classes: Arc<Vec<f64>>,
     /// Precomputed cumulative idle ladder (satisfies every idle site).
@@ -308,12 +332,13 @@ pub struct NoiseProgram {
 /// This is the compilation hoist for genome loops: a genetic search
 /// evaluates thousands of genomes that all share the ansatz *structure*,
 /// so [`NoiseTemplate::compile`] runs once per (structure, noise) and
-/// [`NoiseTemplate::bind_clifford`] re-resolves parities per genome — a
-/// single filter pass instead of a full recompile. The bound program is
-/// **identical** to [`NoiseProgram::compile`] on the bound circuit (the
-/// per-genome path is, in fact, how `NoiseProgram::compile` is
-/// implemented), so sampling streams cannot diverge between the two
-/// paths.
+/// [`NoiseTemplate::bind_clifford`] re-resolves parities per genome
+/// ([`NoiseTemplate::bind_lanes`] per group of genomes side by side) — a
+/// single pass over the parameters instead of a full recompile. The
+/// bound program is **identical** to [`NoiseProgram::compile`] on the
+/// bound circuit (the per-genome path is, in fact, how
+/// `NoiseProgram::compile` is implemented), so sampling streams cannot
+/// diverge between the two paths.
 ///
 /// # Examples
 ///
@@ -455,30 +480,75 @@ impl NoiseTemplate {
     /// output.
     ///
     /// Binding is *zero-copy* on the instruction stream: the bound
-    /// program shares this template's op list and argument table, and only a
-    /// `⌈num_params / 64⌉`-word parity bitmask is computed per genome.
+    /// program shares this template's op list and argument table, and only
+    /// one lane mask per parameter is computed per genome: all lanes for
+    /// an odd quarter turn, none for an even one.
     ///
     /// # Panics
     ///
     /// Panics if `ks.len() < self.num_params()`.
     pub fn bind_clifford(&self, ks: &[u8]) -> NoiseProgram {
+        self.bind(&[ks], None)
+    }
+
+    /// Binds several genomes side by side into one program, for replay
+    /// from one `width`-shot [`FaultTape`]: genome `g` owns lanes
+    /// `g·width .. (g+1)·width` of the frame word, and each symbolic
+    /// rotation's kernel acts in the lanes of the genomes that turn it by
+    /// an odd number of quarter turns. [`NoiseProgram::run_faults`] then
+    /// gives each lane group exactly the frames
+    /// `self.bind_clifford(genomes[g]).run_faults(&tape)` gives (see the
+    /// [module docs](self)). A single genome may take any width, and is
+    /// [`NoiseTemplate::bind_clifford`] replaying only `width`-shot
+    /// tapes.
+    ///
+    /// Drawn in place instead ([`NoiseProgram::run_threaded`]), every
+    /// lane draws its own faults, so the groups would share none.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `genomes` is empty, `width == 0`, several genomes need
+    /// more than the 64 lanes of one word, or a genome is shorter than
+    /// [`NoiseTemplate::num_params`].
+    pub fn bind_lanes(&self, genomes: &[&[u8]], width: usize) -> NoiseProgram {
+        assert!(!genomes.is_empty(), "at least one genome required");
+        assert!(width > 0, "lane groups need at least one shot");
         assert!(
-            ks.len() >= self.num_params,
-            "need {} genome entries, got {}",
-            self.num_params,
-            ks.len()
+            genomes.len() == 1 || genomes.len() * width <= WORD_BITS,
+            "{} lane groups of {width} shots do not fit in one lane word",
+            genomes.len()
         );
-        let mut odd = vec![0u64; self.num_params.div_ceil(64)];
-        for (p, &k) in ks[..self.num_params].iter().enumerate() {
-            if k % 2 == 1 {
-                odd[p / 64] |= 1u64 << (p % 64);
+        self.bind(genomes, Some(width))
+    }
+
+    /// The one bind: lane masks for `genomes` side by side, `width`
+    /// lanes each when several share the word.
+    fn bind(&self, genomes: &[&[u8]], width: Option<usize>) -> NoiseProgram {
+        let mut lanes = vec![0u64; self.num_params];
+        for (g, ks) in genomes.iter().enumerate() {
+            assert!(
+                ks.len() >= self.num_params,
+                "need {} genome entries, got {}",
+                self.num_params,
+                ks.len()
+            );
+            let group = match width {
+                Some(w) if genomes.len() > 1 => ((1u64 << w) - 1) << (g * w),
+                _ => !0,
+            };
+            for (mask, &k) in lanes.iter_mut().zip(*ks) {
+                if k % 2 == 1 {
+                    *mask |= group;
+                }
             }
         }
         NoiseProgram {
             n: self.n,
             ops: Arc::clone(&self.ops),
             args: Arc::clone(&self.args),
-            odd,
+            lanes,
+            groups: genomes.len(),
+            width,
             classes: Arc::clone(&self.classes),
             idle: self.idle,
             sites: self.sites,
@@ -650,6 +720,12 @@ impl NoiseProgram {
         self.classes.len()
     }
 
+    /// Genomes side by side in each lane word (1 unless bound by
+    /// [`NoiseTemplate::bind_lanes`] from several).
+    pub(crate) fn groups(&self) -> usize {
+        self.groups
+    }
+
     /// Runs the program sequentially. Identical output to
     /// [`NoiseProgram::run_threaded`] at any worker count.
     ///
@@ -709,23 +785,39 @@ impl NoiseProgram {
     /// and seed, bit for bit. Every site run XORs the words the tape
     /// recorded for it, and no sampler or RNG runs.
     ///
+    /// A program of several genomes ([`NoiseTemplate::bind_lanes`])
+    /// returns `groups × shots` frames in one lane word: each tape word,
+    /// multiplied by a word with one bit per lane group, lands in every
+    /// group, and group `g` holds genome `g`'s frames.
+    ///
     /// # Panics
     ///
     /// Panics if the tape was sampled from a template other than the one
-    /// that bound this program.
+    /// that bound this program, or if the program was bound by
+    /// [`NoiseTemplate::bind_lanes`] for another shot count.
     pub fn run_faults(&self, tape: &FaultTape) -> PauliFrames {
         assert!(
             Arc::ptr_eq(&self.ops, &tape.ops),
             "fault tape was sampled from another template"
         );
-        self.spliced(tape.shots, |b| {
+        if let Some(width) = self.width {
+            assert_eq!(
+                tape.shots, width,
+                "fault tape of {} shots replayed into {width}-shot lane groups",
+                tape.shots
+            );
+        }
+        // Several groups fit in one word (`bind_lanes` checked), so the
+        // tape's words have `width` lanes and the copies cannot overlap.
+        let spread = (0..self.groups).fold(0u64, |s, g| s | 1 << (g * tape.shots));
+        self.spliced(self.groups * tape.shots, |b| {
             let batch = &tape.batches[b];
-            let mut frames = PauliFrames::new(self.n, batch_shots(tape.shots, b));
+            let mut frames = PauliFrames::new(self.n, self.groups * batch_shots(tape.shots, b));
             let (mut from, mut ends) = (0, batch.ends.iter());
             self.walk(&mut frames, |frames, _| {
                 let to = *ends.next().expect("one tape entry per site run") as usize;
                 for f in &batch.faults[from..to] {
-                    frames.flip_word(f.q as usize, f.w as usize, f.x, f.z);
+                    frames.flip_word(f.q as usize, f.w as usize, f.x * spread, f.z * spread);
                 }
                 from = to;
             });
@@ -768,11 +860,12 @@ impl NoiseProgram {
             let op = match *op {
                 TemplateOp::Fixed(op) => op,
                 TemplateOp::Rot { q, param, axis } => {
-                    if self.odd[param as usize / 64] >> (param as usize % 64) & 1 == 1 {
+                    let mask = self.lanes[param as usize];
+                    if mask != 0 {
                         match axis {
-                            RotAxis::Z => frames.kernel_phase(q as usize),
-                            RotAxis::X => frames.kernel_sqrt_x(q as usize),
-                            RotAxis::Y => frames.kernel_hadamard(q as usize),
+                            RotAxis::Z => frames.kernel_phase_masked(q as usize, mask),
+                            RotAxis::X => frames.kernel_sqrt_x_masked(q as usize, mask),
+                            RotAxis::Y => frames.kernel_hadamard_masked(q as usize, mask),
                         }
                     }
                     continue;
@@ -985,6 +1078,22 @@ mod tests {
         }
     }
 
+    /// Rates that hit every batch of 16 shots or more.
+    fn dense() -> StabilizerNoise {
+        StabilizerNoise {
+            depol_1q: 0.05,
+            depol_2q: 0.1,
+            depol_rz: 0.03,
+            depol_rot_xy: 0.08,
+            meas_flip: 0.0,
+            idle: TwirledIdle {
+                px: 0.02,
+                py: 0.01,
+                pz: 0.03,
+            },
+        }
+    }
+
     #[test]
     fn compile_counts_sites_and_classes() {
         // Layer 1: H(0) [site], q1 idles [site]. Layer 2: CX [site].
@@ -1154,18 +1263,7 @@ mod tests {
         // every batch (bit-slice and geometric samplers both).
         use eftq_circuit::ansatz::{blocked_all_to_all, fully_connected_hea, linear_hea};
         use rand::SeedableRng;
-        let dense = StabilizerNoise {
-            depol_1q: 0.05,
-            depol_2q: 0.1,
-            depol_rz: 0.03,
-            depol_rot_xy: 0.08,
-            meas_flip: 0.0,
-            idle: TwirledIdle {
-                px: 0.02,
-                py: 0.01,
-                pz: 0.03,
-            },
-        };
+        let dense = dense();
         let mut rng = StdRng::seed_from_u64(61);
         for ansatz in [
             linear_hea(4, 1),
@@ -1195,6 +1293,94 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn packed_lane_groups_replay_each_genomes_own_frames() {
+        // Lane group g of a packed replay holds, shot for shot, the frames
+        // genome g's own program replays from the same tape, at every
+        // group count that fits one word: random, all-even and all-odd
+        // genomes side by side, under NISQ and dense rates. Above 32
+        // shots a group of one is the single-genome replay, on as many
+        // words as the tape has.
+        use eftq_circuit::ansatz::{blocked_all_to_all, fully_connected_hea, linear_hea};
+        use rand::SeedableRng;
+        let mut rng = StdRng::seed_from_u64(67);
+        for ansatz in [
+            linear_hea(4, 1),
+            fully_connected_hea(9, 2),
+            blocked_all_to_all(8, 1),
+        ] {
+            let len = ansatz.num_params();
+            for noise in [nisq_like(), dense()] {
+                let template = NoiseTemplate::compile(ansatz.circuit(), &noise);
+                for shots in [1usize, 6, 16, 21, 32] {
+                    let tape = template.sample_faults(shots, SeedSequence::new(rng.gen()));
+                    let genomes: Vec<Vec<u8>> = (0..WORD_BITS / shots)
+                        .map(|g| {
+                            let parity = [None, Some(0), Some(1)][g % 3];
+                            (0..len)
+                                .map(|_| {
+                                    let k = rng.gen_range(0..4u8);
+                                    parity.map_or(k, |p| k & 2 | p)
+                                })
+                                .collect()
+                        })
+                        .collect();
+                    let alone: Vec<PauliFrames> = genomes
+                        .iter()
+                        .map(|g| template.bind_clifford(g).run_faults(&tape))
+                        .collect();
+                    for groups in 1..=genomes.len() {
+                        let ks: Vec<&[u8]> = genomes[..groups].iter().map(Vec::as_slice).collect();
+                        let packed = template.bind_lanes(&ks, shots).run_faults(&tape);
+                        assert_eq!(packed.num_shots(), groups * shots);
+                        for (g, frames) in alone[..groups].iter().enumerate() {
+                            for s in 0..shots {
+                                assert_eq!(
+                                    packed.frame(g * shots + s),
+                                    frames.frame(s),
+                                    "{} qubits, {shots} shots, group {g} of {groups}, shot {s}",
+                                    ansatz.num_qubits()
+                                );
+                            }
+                        }
+                    }
+                }
+                for shots in [40usize, 100, 300] {
+                    let tape = template.sample_faults(shots, SeedSequence::new(rng.gen()));
+                    let genome: Vec<u8> = (0..len).map(|_| rng.gen_range(0..4u8)).collect();
+                    assert_eq!(
+                        template.bind_lanes(&[&genome], shots).run_faults(&tape),
+                        template.bind_clifford(&genome).run_faults(&tape),
+                        "{shots} shots"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "16 shots replayed into 8-shot lane groups")]
+    fn packed_program_rejects_a_tape_of_another_width() {
+        use eftq_circuit::ansatz::linear_hea;
+        let ansatz = linear_hea(4, 1);
+        let template = NoiseTemplate::compile(ansatz.circuit(), &nisq_like());
+        let tape = template.sample_faults(16, SeedSequence::new(3));
+        let genome = vec![1u8; ansatz.num_params()];
+        let _ = template
+            .bind_lanes(&[&genome, &genome], 8)
+            .run_faults(&tape);
+    }
+
+    #[test]
+    #[should_panic(expected = "3 lane groups of 22 shots do not fit in one lane word")]
+    fn lane_groups_past_one_word_are_rejected() {
+        use eftq_circuit::ansatz::linear_hea;
+        let ansatz = linear_hea(4, 1);
+        let template = NoiseTemplate::compile(ansatz.circuit(), &nisq_like());
+        let genome = vec![1u8; ansatz.num_params()];
+        let _ = template.bind_lanes(&[&genome, &genome, &genome], 22);
     }
 
     #[test]

@@ -4,7 +4,8 @@
 //! hash to recorded constants, as do the frames of a hand-built circuit
 //! whose CX runs are broken by every other kernel and by site runs. The
 //! frames replayed from a fault tape hash to the same constants as the
-//! frames drawn in place. Any change to a word kernel, a frame kernel,
+//! frames drawn in place, and so does every lane group of four copies of
+//! the 16-shot program replayed side by side in one word. Any change to a word kernel, a frame kernel,
 //! the site layout or the sampling RNG stream moves a hash and fails
 //! here.
 //!
@@ -84,7 +85,11 @@ fn tableau_walk_hash_is_pinned() {
 }
 
 fn frame_hash(frames: &PauliFrames, h: &mut u64) {
-    for s in 0..frames.num_shots() {
+    shots_hash(frames, 0..frames.num_shots(), h);
+}
+
+fn shots_hash(frames: &PauliFrames, shots: std::ops::Range<usize>, h: &mut u64) {
+    for s in shots {
         let f = frames.frame(s);
         for q in 0..frames.num_qubits() {
             fnv(h, pauli_tag(f.pauli_at(q)));
@@ -114,6 +119,22 @@ fn test_frames_hashes(shots: usize) -> [u64; 2] {
 fn frame_engine_hash_is_pinned() {
     for h in test_frames_hashes(700) {
         assert_eq!(h, GOLDEN_FRAMES, "frame hash {h:#018x}");
+    }
+}
+
+#[test]
+fn packed_lane_groups_hash_like_the_16_shot_frames() {
+    let c = test_circuit(37);
+    let template = NoiseTemplate::compile(&c, &nisq_like());
+    let tape = template.sample_faults(16, SeedSequence::new(42));
+    // The circuit is bound, so each copy is the empty genome.
+    let copy: &[u8] = &[];
+    let frames = template.bind_lanes(&[copy; 4], 16).run_faults(&tape);
+    assert_eq!(frames.num_shots(), 64);
+    for g in 0..4 {
+        let mut h = 0xcbf2_9ce4_8422_2325u64;
+        shots_hash(&frames, 16 * g..16 * (g + 1), &mut h);
+        assert_eq!(h, GOLDEN_FRAMES_16, "lane group {g} hash {h:#018x}");
     }
 }
 

@@ -3,7 +3,8 @@
 //! of hand-built circuits exercising the whole fixed gate set), every
 //! value of the compiled Hamiltonian's `expectations` and every
 //! single-string `expectation` must equal `Tableau::expectation` on the
-//! bound circuit exactly, and the energy estimate must equal
+//! bound circuit exactly, and the energy estimate of every genome, alone
+//! or side by side with others in one lane word, must equal
 //! `estimate_energy_program` bit for bit.
 
 use eftq_circuit::ansatz::{blocked_all_to_all, fully_connected_hea, linear_hea};
@@ -11,7 +12,8 @@ use eftq_circuit::{Angle, Circuit, Gate};
 use eftq_numerics::SeedSequence;
 use eftq_pauli::{Pauli, PauliString, PauliSum};
 use eftq_stabilizer::{
-    estimate_energy_program, HeisenbergEvaluator, NoiseTemplate, StabilizerNoise, Tableau,
+    estimate_energy_program, BoundEvaluator, HeisenbergEvaluator, NoiseTemplate, StabilizerNoise,
+    Tableau,
 };
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -257,27 +259,43 @@ fn energy_estimate_matches_program_estimator_bit_for_bit() {
         meas_flip: 0.01,
         ..StabilizerNoise::default()
     };
+    // 37 shots: one genome per estimate; 16 and 5: two groups of four
+    // genomes and one of eight side by side in a lane word.
     for noise in [StabilizerNoise::noiseless(), nisq] {
         let template = NoiseTemplate::compile(ansatz.circuit(), &noise);
-        for g in 0..8 {
-            let genome = random_genome(ansatz.num_params(), &mut rng);
-            let program = template.bind_clifford(&genome);
-            let seed = SeedSequence::new(g);
-            let want = estimate_energy_program(
-                &ansatz.bind_clifford(&genome),
-                &h,
-                &program,
-                noise.meas_flip,
-                37,
-                seed,
-                1,
-            );
-            let tape = template.sample_faults(37, seed.derive("pauli-frames"));
-            let got =
-                evaluator
-                    .bind_clifford(&genome)
-                    .estimate_energy(&program, &tape, noise.meas_flip);
-            assert_eq!(got, want, "genome {g}");
+        for (i, shots) in [37usize, 16, 5].into_iter().enumerate() {
+            let seed = SeedSequence::new(i as u64);
+            let genomes: Vec<Vec<u8>> = (0..8)
+                .map(|_| random_genome(ansatz.num_params(), &mut rng))
+                .collect();
+            let want: Vec<_> = genomes
+                .iter()
+                .map(|genome| {
+                    estimate_energy_program(
+                        &ansatz.bind_clifford(genome),
+                        &h,
+                        &template.bind_clifford(genome),
+                        noise.meas_flip,
+                        shots,
+                        seed,
+                        1,
+                    )
+                })
+                .collect();
+            let tape = template.sample_faults(shots, seed.derive("pauli-frames"));
+            let mut got = Vec::new();
+            for group in genomes.chunks((64 / shots).max(1)) {
+                let ks: Vec<&[u8]> = group.iter().map(Vec::as_slice).collect();
+                let bound: Vec<_> = ks.iter().map(|g| evaluator.bind_clifford(g)).collect();
+                let program = template.bind_lanes(&ks, shots);
+                got.extend(BoundEvaluator::estimate_energy(
+                    &bound,
+                    &program,
+                    &tape,
+                    noise.meas_flip,
+                ));
+            }
+            assert_eq!(got, want, "{shots} shots");
         }
     }
 }
